@@ -1,8 +1,8 @@
 """Cold-vs-warm benchmark of the compile path (the PR 2 acceptance gate).
 
 The scenario is the one every sweep and table harness repeats: ``get_kernel``
-followed by ``map_kernel`` for every library kernel on a critical-path V1
-overlay and a fixed-depth V3 overlay.  Cold means every cache layer cleared —
+followed by ``Toolchain.compile`` + ``Toolchain.evaluate`` for every library
+kernel on a critical-path V1 overlay and a fixed-depth V3 overlay.  Cold means every cache layer cleared —
 the kernel library's built-DFG cache, the frontend cache (tokens/ASTs/DFGs)
 and the compiled-schedule cache; warm means all of them populated by a prior
 identical pass.
@@ -20,10 +20,11 @@ import time
 
 import pytest
 
-from repro import map_kernel
+from repro.api import default_toolchain
 from repro.engine.cache import default_cache
 from repro.frontend.cache import default_frontend_cache
 from repro.kernels.library import clear_kernel_cache, kernel_names
+from repro.specs import OverlaySpec
 
 #: The compile grid: every library kernel on one critical-path-depth overlay
 #: and one fixed-depth write-back overlay (the two scheduler families).
@@ -55,11 +56,12 @@ def _clear_all_caches():
 
 
 def _compile_pass():
-    """One full ``get_kernel`` + ``map_kernel`` sweep over the grid."""
+    """One full ``get_kernel`` + compile + evaluate sweep over the grid."""
+    toolchain = default_toolchain()
     for name in kernel_names():
         for variant in VARIANTS:
-            result = map_kernel(name, variant)
-            assert result.schedule is not None
+            handle = toolchain.compile(name, OverlaySpec(variant))
+            assert toolchain.evaluate(handle).ii > 0
 
 
 def _timed_pass():
@@ -99,7 +101,7 @@ def test_compile_path_speedup(save_result):
     frontend = default_frontend_cache().stats
     backend = default_cache().stats
     lines = [
-        "compile path: get_kernel + map_kernel over "
+        "compile path: get_kernel + compile + evaluate over "
         f"{len(kernel_names())} kernels x {len(VARIANTS)} variants",
         f"  cold (all caches cleared) : {cold * 1e3:8.2f} ms",
         f"  warm (best of {WARM_ROUNDS})         : {warm * 1e3:8.2f} ms",

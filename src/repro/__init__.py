@@ -23,7 +23,7 @@ The package implements the paper's complete system in pure Python:
   auto-tuner built on it (:mod:`repro.metrics.models`, :mod:`repro.tune`),
 * the **session API** — the :class:`~repro.api.Toolchain` facade and the
   typed spec objects of :mod:`repro.specs`, the one front door every other
-  entry point (CLI, runtime manager, sweeps, compatibility shims) adapts to.
+  entry point (CLI, runtime manager, sweeps) adapts to.
 
 Quickstart
 ----------
@@ -61,7 +61,7 @@ from .metrics.models import (
     model_names,
     register_model,
 )
-from .metrics.performance import PerformanceResult, evaluate_kernel
+from .metrics.performance import PerformanceResult
 from .overlay import FU_VARIANTS, LinearOverlay, get_variant
 from .program.codegen import OverlayProgram, generate_program
 from .program.binary import ConfigurationImage, build_configuration_image
@@ -83,13 +83,7 @@ from .specs import (
     TuneResult,
     TuneSpec,
 )
-from .api import (
-    CompiledHandle,
-    MappingResult,
-    Toolchain,
-    default_toolchain,
-    map_kernel,
-)
+from .api import CompiledHandle, Toolchain, default_toolchain
 from .tune import enumerate_candidates, tune
 from .runtime import OverlayRuntime, RuntimeManager
 
@@ -121,7 +115,6 @@ __all__ = [
     "SimulationResult",
     "simulate_schedule",
     "PerformanceResult",
-    "evaluate_kernel",
     "PerformanceModel",
     "ModelPrediction",
     "register_model",
@@ -138,8 +131,6 @@ __all__ = [
     "Toolchain",
     "CompiledHandle",
     "default_toolchain",
-    "MappingResult",
-    "map_kernel",
     "OverlayRuntime",
     "RuntimeManager",
     "FastSimulator",

@@ -8,11 +8,10 @@
   discussed in Sections I-II.
 """
 
-from .li2016 import baseline_overlay_for, evaluate_baseline
+from .li2016 import evaluate_baseline
 from .spatial import SpatialOverlayEstimate, evaluate_spatial
 
 __all__ = [
-    "baseline_overlay_for",
     "evaluate_baseline",
     "SpatialOverlayEstimate",
     "evaluate_spatial",

@@ -31,10 +31,9 @@ bookkeeping runs under one internal lock, and misses **coalesce**: when N
 threads request the same key at once, exactly one runs the compile pipeline
 while the other N-1 block on the in-flight entry and receive the identical
 :class:`CompiledKernel` object (counted in ``stats.coalesced``).  A failed
-in-flight compile propagates its exception to every waiter.  For servers
-that want less lock contention and a bigger artifact pool,
-:class:`ShardedScheduleCache` fronts N independent LRU shards behind the
-same interface, routing each key to one shard by hash.
+in-flight compile propagates its exception to every waiter.  The lock is
+held only for dictionary operations — compiles run outside it — so one
+instance serves a whole thread pool without lock striping.
 
 End-to-end chain
 ----------------
@@ -205,20 +204,6 @@ class CacheStats:
             "hit_rate": self.hit_rate,
         }
 
-    @classmethod
-    def merged(cls, parts: "list[CacheStats]") -> "CacheStats":
-        """Field-wise sum of several stats (a sharded cache's aggregate)."""
-        total = cls()
-        for part in parts:
-            total.hits += part.hits
-            total.misses += part.misses
-            total.disk_hits += part.disk_hits
-            total.evictions += part.evictions
-            total.source_hits += part.source_hits
-            total.schedule_hits += part.schedule_hits
-            total.coalesced += part.coalesced
-        return total
-
 
 class _InflightCompile:
     """One in-flight compile of a cache key: the leader's result or error.
@@ -320,8 +305,8 @@ class ScheduleCache:
     ) -> OverlaySchedule:
         """Return the schedule, even for kernels whose codegen fails.
 
-        The analytic evaluation path (:func:`repro.metrics.performance.
-        evaluate_kernel`) needs only the schedule; kernels that schedule fine
+        The analytic evaluation path (:meth:`repro.api.Toolchain.evaluate`)
+        needs only the schedule; kernels that schedule fine
         but exceed the variant's register file or instruction memory raise
         :class:`~repro.errors.CodegenError` in the *later* stages of the full
         compile.  Those schedules are memoised in a dedicated index keyed
@@ -419,12 +404,7 @@ class ScheduleCache:
         return compiled
 
     def peek(self, key: CacheKey) -> Optional[CompiledKernel]:
-        """The cached entry for ``key`` (LRU-touched, no stats), or None.
-
-        Pure lookup for layers that do their own accounting — the sharded
-        cache's source index uses it so a source fast-path hit is counted
-        exactly once.
-        """
+        """The cached entry for ``key`` (LRU-touched, no stats), or None."""
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -569,162 +549,6 @@ class ScheduleCache:
             # The disk layer is best-effort: a read-only or full filesystem
             # must never break compilation itself.
             return
-
-
-class ShardedScheduleCache:
-    """N independent :class:`ScheduleCache` shards behind one cache interface.
-
-    The overlay service serves every tenant from one shared compile cache;
-    a single lock (and a single LRU) would serialise the whole thread pool
-    on it.  This wrapper routes each :class:`CacheKey` to one of ``shards``
-    independent LRU shards by hash, so threads compiling *different* keys
-    never contend on one lock, while threads compiling the *same* key land
-    on the same shard and coalesce onto a single pipeline run.
-
-    The interface matches :class:`ScheduleCache` everywhere the
-    :class:`~repro.api.Toolchain` touches it (``get_or_compile_keyed``,
-    ``get_schedule``, ``get_or_compile_source``, verdict storage,
-    ``capacity``/``stats``/``clear``/``len``), so it drops into
-    ``Toolchain(cache=...)`` unchanged.  ``capacity`` is the *total* bound:
-    each shard holds ``ceil(capacity / shards)`` entries.
-
-    The source index (source-hash -> key fast path) lives on the wrapper —
-    routing it into a shard by source hash could land the compiled entry in
-    a different shard than the key-addressed path would use, silently
-    duplicating artifacts.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 512,
-        shards: int = 8,
-        disk_dir: Optional[str] = None,
-    ):
-        if shards < 1:
-            raise ValueError("a sharded cache needs at least one shard")
-        if capacity < shards:
-            raise ValueError(
-                f"capacity {capacity} is below one entry per shard ({shards})"
-            )
-        per_shard = -(-capacity // shards)  # ceil division
-        self.num_shards = shards
-        self.disk_dir = disk_dir if disk_dir is not None else os.environ.get("REPRO_CACHE_DIR")
-        self._shards = [
-            ScheduleCache(capacity=per_shard, disk_dir=self.disk_dir)
-            for _ in range(shards)
-        ]
-        self._source_index: "OrderedDict[Tuple, CacheKey]" = OrderedDict()
-        self._source_stats = CacheStats()
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        """Total entry bound across every shard."""
-        return sum(shard.capacity for shard in self._shards)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregated statistics (shard sums plus the wrapper's source hits)."""
-        merged = CacheStats.merged([shard.stats for shard in self._shards])
-        with self._lock:
-            merged.source_hits += self._source_stats.source_hits
-        return merged
-
-    def shard_stats(self) -> "list[CacheStats]":
-        """Per-shard statistics (observability: spot a hot shard)."""
-        return [shard.stats for shard in self._shards]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def clear(self) -> None:
-        """Drop every shard's entries and the wrapper's source index."""
-        for shard in self._shards:
-            shard.clear()
-        with self._lock:
-            self._source_index.clear()
-            self._source_stats = CacheStats()
-
-    def _shard(self, key: CacheKey) -> ScheduleCache:
-        return self._shards[hash(key) % self.num_shards]
-
-    # ------------------------------------------------------------------
-    def get_or_compile(
-        self, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
-    ) -> CompiledKernel:
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        return self._shard(key).get_or_compile_keyed(key, dfg, overlay)
-
-    def get_or_compile_keyed(
-        self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
-    ) -> CompiledKernel:
-        return self._shard(key).get_or_compile_keyed(key, dfg, overlay)
-
-    def get_schedule(
-        self, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
-    ) -> OverlaySchedule:
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        return self._shard(key).get_schedule(dfg, overlay, scheduler)
-
-    def get_verdict(self, key: CacheKey):
-        return self._shard(key).get_verdict(key)
-
-    def store_verdict(self, key: CacheKey, report) -> None:
-        self._shard(key).store_verdict(key, report)
-
-    def get_batch_plan(self, key: CacheKey):
-        return self._shard(key).get_batch_plan(key)
-
-    def get_or_compile_source(
-        self,
-        source: str,
-        overlay: LinearOverlay,
-        name: Optional[str] = None,
-        run_optimizer: bool = True,
-        scheduler: str = "auto",
-    ) -> CompiledKernel:
-        """Source fast path, then key-routed shard compile (cf. the shard's).
-
-        A warm hit resolves the source index on the wrapper, then fetches
-        the entry from the owning shard without re-lowering or re-hashing
-        anything.  If the shard has since evicted the entry, the call falls
-        through the frontend cache exactly like a cold one.
-        """
-        from ..frontend.cache import default_frontend_cache
-        from ..frontend.lexer import source_hash
-        from ..schedule.registry import resolve_strategy_name
-
-        scheduler = resolve_strategy_name(scheduler, overlay)
-        skey = (
-            source_hash(source),
-            name,
-            run_optimizer,
-            overlay.variant.name,
-            overlay.depth,
-            overlay.fixed_depth,
-            overlay.fifo_depth,
-            scheduler,
-        )
-        with self._lock:
-            key = self._source_index.get(skey)
-            if key is not None:
-                self._source_index.move_to_end(skey)
-        if key is not None:
-            cached = self._shard(key).peek(key)
-            if cached is not None:
-                with self._lock:
-                    self._source_stats.source_hits += 1
-                return cached
-        dfg = default_frontend_cache().dfg(source, name=name, run_optimizer=run_optimizer)
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        compiled = self._shard(key).get_or_compile_keyed(key, dfg, overlay)
-        with self._lock:
-            self._source_index[skey] = key
-            self._source_index.move_to_end(skey)
-            while len(self._source_index) > 4 * self.capacity:
-                self._source_index.popitem(last=False)
-        return compiled
 
 
 _DEFAULT_CACHE: Optional[ScheduleCache] = None

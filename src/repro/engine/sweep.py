@@ -18,14 +18,13 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError, SweepError
+from ..errors import ConfigurationError
 from ..kernels.library import get_kernel, kernel_names
 from ..metrics.performance import (
     EVALUATION_VARIANTS,
@@ -39,9 +38,6 @@ from ..specs import OverlaySpec, SimSpec, SweepSpec
 from .cache import ScheduleCache, default_cache
 from .store import ResultStore
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 #: Default per-point retry budget of the fault-tolerant runner: retries
 #: *after* the first attempt, consumed only by faults (worker death, an
 #: exception out of the point function, a wall-clock timeout).
@@ -50,127 +46,23 @@ DEFAULT_RETRIES = 2
 #: Base of the per-point exponential retry backoff (seconds).
 RETRY_BACKOFF_S = 0.05
 
-#: Keyword arguments the pre-spec SweepPoint constructor accepted.
-_LEGACY_POINT_KWARGS = (
-    "variant",
-    "depth",
-    "num_blocks",
-    "seed",
-    "engine",
-    "verify",
-    "detector",
-)
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SweepPoint:
-    """One (kernel, overlay spec) grid point to compile and run.
-
-    Canonical construction is spec-keyed::
+    """One (kernel, overlay spec, sim spec) grid point to compile and run::
 
         SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="fast"))
-
-    The historical flat keyword form (``variant=``, ``depth=``, ``engine=``,
-    ``detector=`` ...) keeps working as a deprecation shim that packs the
-    kwargs into specs (``depth=0`` maps to the spec's ``depth=None`` auto
-    policy), and the old field names remain readable as properties.
     """
 
     kernel: str
     overlay: OverlaySpec
     sim: SimSpec
 
-    def __init__(
-        self,
-        kernel: str,
-        overlay: Optional[OverlaySpec] = None,
-        sim: Optional[SimSpec] = None,
-        **legacy,
-    ):
-        unknown = sorted(set(legacy) - set(_LEGACY_POINT_KWARGS))
-        if unknown:
-            raise TypeError(
-                f"SweepPoint got unexpected keyword argument(s) {', '.join(unknown)}"
-            )
-        # Historical positional forms: SweepPoint("gradient", "v1"[, depth]).
-        if overlay is not None and not isinstance(overlay, OverlaySpec):
-            if "variant" in legacy:
-                raise ConfigurationError(
-                    "SweepPoint got a positional variant and a variant= kwarg"
-                )
-            legacy["variant"] = overlay
-            overlay = None
-        if sim is not None and not isinstance(sim, SimSpec):
-            if not isinstance(sim, int) or isinstance(sim, bool) or "depth" in legacy:
-                raise ConfigurationError(
-                    "SweepPoint's third argument must be a SimSpec "
-                    "(or the legacy positional depth)"
-                )
-            legacy["depth"] = sim
-            sim = None
-        if legacy:
-            if overlay is not None or sim is not None:
-                raise ConfigurationError(
-                    "SweepPoint takes either spec objects or the legacy flat "
-                    "kwargs, not a mix"
-                )
-            warnings.warn(
-                "flat SweepPoint kwargs (variant=, depth=, engine=, ...) are "
-                "deprecated; pass OverlaySpec/SimSpec objects",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overlay = OverlaySpec(
-                variant=legacy.get("variant", "v1"),
-                depth=legacy.get("depth", 0) or None,
-            )
-            sim = SimSpec(
-                engine=legacy.get("engine", "fast"),
-                detector=legacy.get("detector", "occupancy"),
-                num_blocks=legacy.get("num_blocks", 12),
-                seed=legacy.get("seed", 0),
-                verify=legacy.get("verify", True),
-            )
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(
-            self, "overlay", overlay if overlay is not None else OverlaySpec()
-        )
-        object.__setattr__(
-            self, "sim", sim if sim is not None else SimSpec(engine="fast")
-        )
-
-    # -- legacy flat field names (read-only views into the specs) ----------
-    @property
-    def variant(self) -> str:
-        return self.overlay.variant
-
-    @property
-    def depth(self) -> int:
-        return self.overlay.depth or 0
-
-    @property
-    def num_blocks(self) -> int:
-        return self.sim.num_blocks
-
-    @property
-    def seed(self) -> int:
-        return self.sim.seed
-
-    @property
-    def engine(self) -> str:
-        return self.sim.engine
-
-    @property
-    def verify(self) -> bool:
-        return self.sim.verify
-
-    @property
-    def detector(self) -> str:
-        return self.sim.detector
-
-    @property
-    def scheduler(self) -> str:
-        return self.overlay.scheduler
+    def __post_init__(self):
+        if not isinstance(self.overlay, OverlaySpec):
+            raise ConfigurationError("SweepPoint's overlay must be an OverlaySpec")
+        if not isinstance(self.sim, SimSpec):
+            raise ConfigurationError("SweepPoint's sim must be a SimSpec")
 
 
 @dataclass
@@ -240,13 +132,6 @@ class SweepProgress:
 
 def build_grid(
     kernels: Optional[Sequence[str]] = None,
-    variants: Optional[Sequence[str]] = None,
-    depths: Optional[Sequence[int]] = None,
-    num_blocks: Optional[int] = None,
-    seed: Optional[int] = None,
-    engine: Optional[str] = None,
-    verify: Optional[bool] = None,
-    detector: Optional[str] = None,
     *,
     overlays: Optional[Sequence[OverlaySpec]] = None,
     sim: Optional[SimSpec] = None,
@@ -254,46 +139,17 @@ def build_grid(
 ) -> List[SweepPoint]:
     """Cross kernels x overlay specs into a list of spec-keyed sweep points.
 
-    Canonical usage passes ``overlays=[OverlaySpec(...), ...]`` and
-    ``sim=SimSpec(...)``.  ``schedulers=`` adds the scheduling-strategy
-    axis: every overlay spec is re-keyed with each named strategy
-    (overlay-major, scheduler innermost), exactly like
-    :attr:`~repro.specs.SweepSpec.schedulers`.  The historical flat kwargs
-    (``variants``, ``depths``, ``num_blocks``, ``engine``, ``detector``,
-    ...) keep working as a deprecation shim: ``variants x depths`` expands
-    into overlay specs (a 0 depth entry means auto sizing) and the rest
-    packs into one :class:`~repro.specs.SimSpec`.
+    This is the one grid expansion (:func:`run_sweep_spec` calls it with a
+    :class:`~repro.specs.SweepSpec`'s fields).  The grid is kernel-major.
+    ``schedulers=`` adds the scheduling-strategy axis: every overlay spec
+    is re-keyed with each named strategy (overlay-major, scheduler
+    innermost).  ``kernels=None`` means the whole library,
+    ``overlays=None`` means V1 and V2 at their auto depth, and
+    ``sim=None`` means ``SimSpec(engine="fast")``.
     """
-    legacy = {
-        "variants": variants,
-        "depths": depths,
-        "num_blocks": num_blocks,
-        "seed": seed,
-        "engine": engine,
-        "verify": verify,
-        "detector": detector,
-    }
-    used_legacy = sorted(name for name, value in legacy.items() if value is not None)
-    if used_legacy:
-        if overlays is not None or sim is not None:
-            raise ConfigurationError(
-                "build_grid takes either overlays=/sim= specs or the legacy "
-                f"flat kwargs ({', '.join(used_legacy)}), not a mix"
-            )
-        warnings.warn(
-            "flat build_grid kwargs (variants=, depths=, engine=, ...) are "
-            "deprecated; pass overlays=[OverlaySpec(...)] and sim=SimSpec(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     names = list(kernels) if kernels else kernel_names()
     if overlays is None:
-        depth_options = list(depths) if depths else [0]
-        overlays = [
-            OverlaySpec(variant=str(variant), depth=depth or None)
-            for variant in (variants if variants is not None else ("v1", "v2"))
-            for depth in depth_options
-        ]
+        overlays = (OverlaySpec("v1"), OverlaySpec("v2"))
     if schedulers is not None:
         overlays = [
             spec.with_scheduler(scheduler)
@@ -301,18 +157,8 @@ def build_grid(
             for scheduler in schedulers
         ]
     if sim is None:
-        sim = SimSpec(
-            engine=engine if engine is not None else "fast",
-            detector=detector if detector is not None else "occupancy",
-            num_blocks=num_blocks if num_blocks is not None else 12,
-            seed=seed if seed is not None else 0,
-            verify=verify if verify is not None else True,
-        )
-    return [
-        SweepPoint(kernel=name, overlay=overlay, sim=sim)
-        for name in names
-        for overlay in overlays
-    ]
+        sim = SimSpec(engine="fast")
+    return [SweepPoint(name, overlay, sim) for name in names for overlay in overlays]
 
 
 def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> SweepResult:
@@ -384,52 +230,6 @@ def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> Sweep
         elapsed_s=time.perf_counter() - started,
         **identity,
     )
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    jobs: Optional[int] = None,
-    serial_fn: Optional[Callable[[T], R]] = None,
-) -> List[R]:
-    """Map ``fn`` over ``items``, in a process pool when it pays off.
-
-    Preserves input order.  Falls back to serial execution for tiny inputs,
-    ``jobs<=1`` or platforms where worker processes cannot be *created* at
-    all.  Failures after the pool exists are real and surface to the caller:
-    an exception raised by ``fn`` inside a worker propagates unchanged (it
-    must not be papered over by silently re-running every point serially,
-    which would duplicate side effects and hide the error), and a worker
-    process dying (``BrokenProcessPool``) raises :class:`SweepError` with a
-    hint to rerun serially for a readable traceback.
-
-    ``serial_fn`` (default ``fn``) replaces ``fn`` on every *in-process*
-    path — small inputs, ``jobs<=1`` and the pool-creation fallback — so
-    callers can close over unpicklable state (a session-injected cache)
-    without it ever reaching a worker process.
-    """
-    items = list(items)
-    serial = serial_fn if serial_fn is not None else fn
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or len(items) <= 1:
-        return [serial(item) for item in items]
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
-    except (OSError, PermissionError, ImportError):
-        # Only pool *creation* degrades gracefully (sandboxes and exotic
-        # platforms without process support).
-        return [serial(item) for item in items]
-    with pool:
-        try:
-            return list(pool.map(fn, items))
-        except BrokenProcessPool as exc:
-            raise SweepError(
-                "a sweep worker process died unexpectedly (out of memory, "
-                "killed, or crashed before returning a result); rerun with "
-                "jobs=1 to execute the grid serially and surface the "
-                "underlying error"
-            ) from exc
 
 
 def _error_result(point: SweepPoint, message: str, attempts: int) -> SweepResult:
@@ -856,18 +656,14 @@ def run_sweep_spec(
 ) -> List[SweepResult]:
     """Expand a :class:`~repro.specs.SweepSpec` into its grid and run it.
 
-    The grid is ``kernels x overlays`` in spec order (kernel-major), each
-    point sharing the spec's :class:`~repro.specs.SimSpec`; a
-    ``schedulers`` axis expands innermost (every overlay spec re-keyed per
-    strategy, via :meth:`~repro.specs.SweepSpec.grid_overlays`).  The
-    spec's robustness knobs (``retries``, ``timeout_s``, ``store_dir`` /
-    ``resume``) configure the fault-tolerant runner directly.
+    The grid is :func:`build_grid` over the spec's kernels, overlays,
+    schedulers and :class:`~repro.specs.SimSpec`.  The spec's robustness
+    knobs (``retries``, ``timeout_s``, ``store_dir`` / ``resume``)
+    configure the fault-tolerant runner directly.
     """
-    points = [
-        SweepPoint(kernel=kernel, overlay=overlay, sim=spec.sim)
-        for kernel in spec.kernels
-        for overlay in spec.grid_overlays()
-    ]
+    points = build_grid(
+        spec.kernels, overlays=spec.overlays, sim=spec.sim, schedulers=spec.schedulers
+    )
     store = ResultStore(spec.store_dir) if spec.store_dir else None
     return run_sweep(
         points,
@@ -884,46 +680,29 @@ def run_sweep_spec(
 # ---------------------------------------------------------------------------
 # benchmark-harness helpers (Fig. 6 / Table III adopt these)
 # ---------------------------------------------------------------------------
-def _evaluate_kernel_worker(args) -> Dict[str, PerformanceResult]:
-    name, variants, fixed_depth, simulate = args
-    return evaluate_kernel_all_overlays(
-        get_kernel(name), variants=variants, fixed_depth=fixed_depth, simulate=simulate
-    )
-
-
 def evaluate_many(
     kernels: Sequence[str],
     variants: Sequence[str] = EVALUATION_VARIANTS,
     fixed_depth: Optional[int] = None,
     simulate: bool = False,
-    jobs: Optional[int] = None,
     cache: Optional[ScheduleCache] = None,
 ) -> Dict[str, Dict[str, PerformanceResult]]:
-    """Evaluate many kernels on many overlay variants, one worker per kernel.
+    """Evaluate many kernels on many overlay variants (Fig. 6 / Table III).
 
-    This is the engine behind the Fig. 6 / Table III harnesses: identical
-    results to calling :func:`evaluate_kernel_all_overlays` in a loop, but
-    the per-kernel work fans out over the process pool.
-
-    ``cache`` (a session-injected compiled-schedule cache) is honored on
-    every in-process path — exactly like :func:`run_sweep` — so an isolated
-    :class:`~repro.api.Toolchain` session's evaluations no longer leak
-    compilations into the process-wide default cache.  Worker processes
-    still warm their own caches (share across workers via
-    ``REPRO_CACHE_DIR``).
+    Identical to calling :func:`evaluate_kernel_all_overlays` in a loop,
+    through one :class:`~repro.api.Toolchain` over ``cache`` (the
+    process-wide default cache when ``None``).
     """
-    tasks = [(name, tuple(variants), fixed_depth, simulate) for name in kernels]
-    serial_fn = None
-    if cache is not None:
-        serial_fn = lambda task: evaluate_kernel_all_overlays(  # noqa: E731
-            get_kernel(task[0]),
-            variants=task[1],
-            fixed_depth=task[2],
-            simulate=task[3],
+    return {
+        name: evaluate_kernel_all_overlays(
+            get_kernel(name),
+            variants=variants,
+            fixed_depth=fixed_depth,
+            simulate=simulate,
             cache=cache,
         )
-    results = parallel_map(_evaluate_kernel_worker, tasks, jobs=jobs, serial_fn=serial_fn)
-    return dict(zip(kernels, results))
+        for name in kernels
+    }
 
 
 # ---------------------------------------------------------------------------

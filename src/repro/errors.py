@@ -66,10 +66,6 @@ class SimulationError(ReproError):
     """The cycle-accurate simulator detected an inconsistency."""
 
 
-class SweepError(ReproError):
-    """A parallel sweep failed in the worker-pool infrastructure itself."""
-
-
 class ConfigurationError(ReproError):
     """An overlay/architecture configuration is invalid."""
 

@@ -26,7 +26,6 @@ from .models import (
 from .performance import (
     PerformanceResult,
     analytic_performance,
-    evaluate_kernel,
     evaluate_kernel_all_overlays,
     latency_ns,
     throughput_gops,
@@ -56,7 +55,6 @@ __all__ = [
     "model_entries",
     "PerformanceResult",
     "analytic_performance",
-    "evaluate_kernel",
     "evaluate_kernel_all_overlays",
     "throughput_gops",
     "latency_ns",

@@ -20,7 +20,6 @@ multi-kernel example and the runtime bench report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -112,12 +111,8 @@ class OverlayRuntime:
         (the overlay never changes); for the other variants it is the
         *initial* depth, and loading a kernel with a different critical-path
         depth triggers a modelled partial reconfiguration that resizes the
-        overlay.
-
-        As a deprecation shim the old flat signature
-        ``OverlayRuntime(variant, depth=8, verify=True, engine="cycle")``
-        keeps working (a variant name/instance in place of the spec, plus
-        the legacy keyword knobs) and packs itself into specs.
+        overlay.  Anything other than an :class:`~repro.specs.OverlaySpec`
+        raises :class:`~repro.errors.ConfigurationError`.
     sim:
         A :class:`~repro.specs.SimSpec` with the execution policy:
         ``engine`` selects the simulation core used by :meth:`execute`
@@ -136,15 +131,20 @@ class OverlayRuntime:
         :meth:`repro.api.Toolchain.runtime` injects its session cache here.
     """
 
-    #: Parameter order of the pre-spec constructor (deprecation shim).
-    _LEGACY_PARAMS = ("variant", "depth", "verify", "engine", "cache")
-    #: Parameter order of the session-API constructor.
-    _SESSION_PARAMS = ("overlay", "sim", "cache")
-
-    def __init__(self, *args, **kwargs):
-        overlay, sim, cache = self._parse_ctor_args(args, kwargs)
+    def __init__(
+        self,
+        overlay: OverlaySpec,
+        sim: Optional[SimSpec] = None,
+        cache: Optional[ScheduleCache] = None,
+    ):
+        if not isinstance(overlay, OverlaySpec):
+            raise ConfigurationError(
+                "OverlayRuntime needs an OverlaySpec describing the overlay it manages"
+            )
         if sim is None:
             sim = SimSpec()
+        elif not isinstance(sim, SimSpec):
+            raise ConfigurationError("OverlayRuntime's sim argument must be a SimSpec")
         self.overlay_spec = overlay
         self.sim_spec = sim
         self.variant = get_variant(overlay.variant)
@@ -160,80 +160,6 @@ class OverlayRuntime:
         self.stats = RuntimeStats()
         self._kernels: Dict[str, KernelHandle] = {}
         self._loaded: Optional[str] = None
-
-    @classmethod
-    def _parse_ctor_args(cls, args, kwargs):
-        """Dispatch between the session signature and the legacy shim.
-
-        Session style: ``(overlay: OverlaySpec, sim: SimSpec = None,
-        cache=None)``.  Legacy style (any non-spec first argument or a
-        ``variant=`` keyword): ``(variant, depth=8, verify=True,
-        engine="cycle", cache=None)`` with positionals and keywords mixing
-        exactly as the old flat signature allowed.
-        """
-        legacy = "variant" in kwargs or (
-            bool(args) and not isinstance(args[0], (OverlaySpec, SimSpec))
-        )
-        names = cls._LEGACY_PARAMS if legacy else cls._SESSION_PARAMS
-        if len(args) > len(names):
-            raise TypeError(
-                f"OverlayRuntime takes at most {len(names)} positional "
-                f"arguments ({', '.join(names)}), got {len(args)}"
-            )
-        params = dict(zip(names, args))
-        duplicated = sorted(set(params) & set(kwargs))
-        if duplicated:
-            raise TypeError(
-                f"OverlayRuntime got multiple values for {', '.join(duplicated)}"
-            )
-        unknown = sorted(set(kwargs) - set(names))
-        if unknown:
-            if not legacy and set(unknown) <= set(cls._LEGACY_PARAMS):
-                raise ConfigurationError(
-                    "depth=/verify=/engine= are legacy kwargs of the flat "
-                    "signature; with an OverlaySpec they belong in the specs"
-                )
-            raise TypeError(
-                f"OverlayRuntime got unexpected keyword argument(s) "
-                f"{', '.join(unknown)}"
-            )
-        params.update(kwargs)
-        if not legacy:
-            overlay = params.get("overlay")
-            sim = params.get("sim")
-            if not isinstance(overlay, OverlaySpec):
-                raise ConfigurationError(
-                    "OverlayRuntime needs an OverlaySpec (or the legacy "
-                    "variant name) describing the overlay it manages"
-                )
-            if sim is not None and not isinstance(sim, SimSpec):
-                raise ConfigurationError(
-                    "OverlayRuntime's sim argument must be a SimSpec"
-                )
-            return overlay, sim, params.get("cache")
-
-        warnings.warn(
-            "OverlayRuntime(variant, depth=, verify=, engine=) is "
-            "deprecated; pass OverlaySpec and SimSpec objects",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if "variant" not in params:
-            raise TypeError("OverlayRuntime missing the legacy variant argument")
-        depth = params.get("depth")
-        if depth is not None:
-            if isinstance(depth, (OverlaySpec, SimSpec)) or isinstance(depth, bool):
-                raise ConfigurationError(
-                    "pass either spec objects or the legacy flat kwargs, not a mix"
-                )
-            if depth < 1:
-                raise ConfigurationError("overlay depth must be positive")
-        overlay = OverlaySpec(variant=params["variant"], depth=depth)
-        sim = SimSpec(
-            engine=params.get("engine", "cycle"),
-            verify=params.get("verify", True),
-        )
-        return overlay, sim, params.get("cache")
 
     # ------------------------------------------------------------------
     # overlay state

@@ -1,7 +1,7 @@
 """The overlay compile/simulate service: async front, thread-pool back.
 
-:class:`OverlayService` owns one shared, sharded, LRU-bounded compile cache
-(:class:`~repro.engine.cache.ShardedScheduleCache`) and one
+:class:`OverlayService` owns one shared, LRU-bounded compile cache
+(:class:`~repro.engine.cache.ScheduleCache`) and one
 :class:`~repro.api.Toolchain` session per tenant.  The asyncio layer only
 frames newline-delimited JSON; every request body runs on a thread pool,
 because compiling and simulating are CPU-bound and the toolchain stack is
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..api import CompiledHandle, Toolchain
-from ..engine.cache import ScheduleCache, ShardedScheduleCache
+from ..engine.cache import ScheduleCache
 from ..schedule.ii import analytic_ii
 from ..specs import OverlaySpec, SimSpec, spec_from_wire
 from .protocol import (
@@ -75,18 +75,17 @@ class TenantSession:
 
 
 class OverlayService:
-    """A multi-tenant compile/simulate server over one sharded cache.
+    """A multi-tenant compile/simulate server over one shared cache.
 
     Parameters
     ----------
     cache:
         The shared compile cache non-isolated tenants go through.  Defaults
-        to a fresh :class:`~repro.engine.cache.ShardedScheduleCache` sized
-        by ``capacity``/``shards``; inject any cache implementing the
-        :class:`~repro.engine.cache.ScheduleCache` interface to share one
+        to a fresh :class:`~repro.engine.cache.ScheduleCache` of
+        ``capacity`` entries (and ``disk_dir``); inject one to share it
         with other in-process consumers.
-    capacity / shards:
-        Sizing of the default sharded cache (total entries, shard count).
+    capacity:
+        Entry bound of the default cache.
     max_workers:
         Thread-pool width for CPU-bound request bodies (``None`` = the
         executor's CPU-based default).
@@ -99,7 +98,6 @@ class OverlayService:
         cache=None,
         *,
         capacity: int = 512,
-        shards: int = 8,
         max_workers: Optional[int] = None,
         isolated_capacity: int = 128,
         disk_dir: Optional[str] = None,
@@ -107,7 +105,7 @@ class OverlayService:
         self.cache = (
             cache
             if cache is not None
-            else ShardedScheduleCache(capacity=capacity, shards=shards, disk_dir=disk_dir)
+            else ScheduleCache(capacity=capacity, disk_dir=disk_dir)
         )
         self.isolated_capacity = isolated_capacity
         self.stats = ServiceStats()
@@ -388,11 +386,16 @@ class OverlayService:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):  # client went away
             pass
+        except asyncio.CancelledError:
+            # The loop is shutting down (BackgroundServer.stop with a client
+            # still connected).  End normally: a handler task that finishes
+            # cancelled makes asyncio's stream callback log a traceback.
+            pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:

@@ -1,11 +1,8 @@
 """Typed, frozen spec objects — the only way knobs travel between layers.
 
-The tool flow used to thread the same handful of knobs (variant, depth,
-engine, detector, num_blocks, seed, ...) as loose keyword arguments through
-five independent entry points (``map_kernel``, ``evaluate_kernel``,
-``SweepPoint``, the runtime manager and the CLI).  Adding one knob meant
-touching every one of them.  This module replaces that keyword soup with
-three spec dataclasses:
+Every knob of the tool flow (variant, depth, engine, detector, num_blocks,
+seed, ...) lives in one of these frozen dataclasses instead of travelling
+as loose keyword arguments:
 
 * :class:`OverlaySpec` — *which overlay*: FU variant, depth policy (explicit
   or auto-sized), fixed-depth flag, FIFO depth;
@@ -18,12 +15,13 @@ three spec dataclasses:
   that triages them, the objective and the simulation budget.  The tuner
   returns a :class:`TuneResult` holding ranked :class:`TuneCandidate` rows.
 
-All three are frozen (hashable, usable as cache keys) and JSON
+All of them are frozen (hashable, usable as cache keys) and JSON
 round-trippable (``to_json`` / ``from_json`` are exact inverses), so a spec
 can be logged, stored next to sweep results, or shipped to a worker process
 verbatim.  A future knob lands in exactly one spec class plus its consumer;
-every entry point — :class:`repro.api.Toolchain`, the compatibility shims,
-the CLI — builds or accepts these objects instead of re-declaring kwargs.
+every entry point — :class:`repro.api.Toolchain`, the runtime manager, the
+sweep runner, the CLI — builds or accepts these objects instead of
+re-declaring kwargs.
 """
 
 from __future__ import annotations
@@ -264,7 +262,7 @@ class SweepSpec:
     """A (kernels x overlays [x schedulers]) grid with one shared sim policy.
 
     The grid is the cross product ``kernels x overlays`` in that order
-    (kernel-major), matching the historical ``build_grid`` ordering.
+    (kernel-major), expanded by :func:`repro.engine.sweep.build_grid`.
     ``sim=None`` resolves to the sweep default, ``SimSpec(engine="fast")``.
 
     ``schedulers`` adds a third axis: when given, every overlay spec is
@@ -339,18 +337,8 @@ class SweepSpec:
             )
 
     # ------------------------------------------------------------------
-    def grid_overlays(self) -> Tuple[OverlaySpec, ...]:
-        """The overlay axis with the scheduler axis expanded into it."""
-        if self.schedulers is None:
-            return self.overlays
-        return tuple(
-            overlay.with_scheduler(scheduler)
-            for overlay in self.overlays
-            for scheduler in self.schedulers
-        )
-
     def __len__(self) -> int:
-        return len(self.kernels) * len(self.grid_overlays())
+        return len(self.kernels) * len(self.overlays) * len(self.schedulers or (None,))
 
     def to_dict(self) -> Dict[str, Any]:
         return {

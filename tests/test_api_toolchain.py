@@ -1,16 +1,15 @@
-"""Tests for the :class:`repro.api.Toolchain` session API and its shims."""
+"""Tests for the :class:`repro.api.Toolchain` session API."""
 
 import dataclasses
 
 import pytest
 
-from repro import map_kernel
 from repro.api import CompiledHandle, Toolchain, default_toolchain
 from repro.engine.cache import ScheduleCache
 from repro.engine.sweep import SweepPoint, run_point
 from repro.errors import CodegenError, ConfigurationError
 from repro.kernels import get_kernel
-from repro.metrics.performance import evaluate_kernel
+from repro.metrics.performance import evaluate_kernel_all_overlays
 from repro.overlay.resources import overlay_fmax_mhz
 from repro.specs import OverlaySpec, SimSpec, SweepSpec
 
@@ -94,10 +93,11 @@ class TestSessionIsolation:
 
 
 class TestEvaluate:
-    def test_evaluate_matches_legacy_entry_point(self, gradient):
+    def test_evaluate_matches_all_overlays_helper(self, gradient):
         tc = Toolchain(cache=ScheduleCache())
         handle = tc.compile(gradient, OverlaySpec("v1"))
-        assert tc.evaluate(handle) == evaluate_kernel(gradient, "v1")
+        expected = evaluate_kernel_all_overlays(gradient, ("v1",))["v1"]
+        assert tc.evaluate(handle) == expected
 
     def test_evaluate_returns_fresh_copies(self):
         tc = Toolchain(cache=ScheduleCache())
@@ -174,93 +174,98 @@ class TestSweep:
     def test_sweep_requires_spec(self):
         tc = Toolchain(cache=ScheduleCache())
         with pytest.raises(ConfigurationError):
-            tc.sweep([SweepPoint(kernel="gradient", overlay=OverlaySpec("v1"))])
+            tc.sweep([SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="fast"))])
 
 
 class TestDepthOverrideBugfix:
-    """`map_kernel(depth=N)` on V1/V2 used to report critical-path metrics."""
+    """A depth override on V1/V2 used to report critical-path metrics."""
 
     @pytest.mark.parametrize("variant", ["v1", "v2"])
     def test_depth_override_performance_describes_compiled_overlay(self, variant):
-        with pytest.warns(DeprecationWarning):
-            result = map_kernel("gradient", variant, depth=6)
-        assert result.overlay.depth == 6
-        assert result.performance.overlay_depth == 6
-        assert result.performance.overlay_name == result.overlay.name
-        assert result.performance.fmax_mhz == pytest.approx(
-            overlay_fmax_mhz(result.overlay.variant, 6)
+        tc = Toolchain(cache=ScheduleCache())
+        handle = tc.compile("gradient", OverlaySpec(variant, depth=6))
+        performance = tc.evaluate(handle)
+        assert handle.overlay.depth == 6
+        assert performance.overlay_depth == 6
+        assert performance.overlay_name == handle.overlay.name
+        assert performance.fmax_mhz == pytest.approx(
+            overlay_fmax_mhz(handle.overlay.variant, 6)
         )
 
-    def test_depth_override_consistent_with_toolchain(self):
+    def test_depth_override_consistent_with_toolchain(self, gradient):
         tc = Toolchain(cache=ScheduleCache())
         handle = tc.compile("gradient", OverlaySpec("v1", depth=6))
         via_api = tc.evaluate(handle)
-        with pytest.warns(DeprecationWarning):
-            via_shim = map_kernel("gradient", "v1", depth=6)
-        assert via_shim.performance == via_api
+        via_helper = evaluate_kernel_all_overlays(gradient, ("v1",), fixed_depth=6)
+        assert via_helper["v1"] == via_api
 
-    def test_auto_depth_unchanged_and_warning_free(self, recwarn):
-        result = map_kernel("gradient", "v1")
-        assert result.performance.overlay_depth == 4
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+    def test_auto_depth_unchanged(self, gradient):
+        result = evaluate_kernel_all_overlays(gradient, ("v1",))["v1"]
+        assert result.overlay_depth == 4
 
 
-class TestShimBitIdentity:
-    def test_map_kernel_matches_toolchain(self):
-        tc = default_toolchain()
-        handle = tc.compile("qspline", OverlaySpec("v3"))
-        expected = tc.evaluate(handle)
-        result = map_kernel("qspline", "v3")
-        assert result.performance == expected
-        assert result.schedule is handle.schedule
-        assert result.program is handle.program
-        assert result.configuration is handle.configuration
+class TestSessionBitIdentity:
+    """A private session and the default session build the same artifacts."""
 
-    def test_map_kernel_simulated_matches_toolchain(self):
+    def test_private_session_matches_default_session(self):
+        import hashlib
+
+        handle = default_toolchain().compile("qspline", OverlaySpec("v3"))
+        tc = Toolchain(cache=ScheduleCache())
+        private = tc.compile("qspline", OverlaySpec("v3"))
+        assert tc.evaluate(private) == default_toolchain().evaluate(handle)
+        assert private.schedule.assignment == handle.schedule.assignment
+        assert (
+            hashlib.sha256(private.configuration.to_bytes()).hexdigest()
+            == hashlib.sha256(handle.configuration.to_bytes()).hexdigest()
+        )
+
+    def test_evaluate_with_sim_matches_simulate(self):
         tc = default_toolchain()
         handle = tc.compile("gradient", OverlaySpec("v1"))
         expected_sim = tc.simulate(handle, SimSpec(num_blocks=6))
-        result = map_kernel("gradient", "v1", simulate=True, num_blocks=6)
-        assert result.simulation.measured_ii == expected_sim.measured_ii
-        assert result.simulation.outputs == expected_sim.outputs
-        assert result.performance.measured_ii == expected_sim.measured_ii
-        assert result.performance.simulated
+        private = Toolchain(cache=ScheduleCache())
+        private_handle = private.compile("gradient", OverlaySpec("v1"))
+        simulation = private.simulate(private_handle, SimSpec(num_blocks=6))
+        performance = private.evaluate(private_handle, sim=SimSpec(num_blocks=6))
+        assert simulation.measured_ii == expected_sim.measured_ii
+        assert simulation.outputs == expected_sim.outputs
+        assert performance.measured_ii == expected_sim.measured_ii
+        assert performance.simulated
 
-    def test_evaluate_kernel_matches_toolchain(self, qspline):
+    def test_all_overlays_helper_matches_toolchain(self, qspline):
         tc = default_toolchain()
-        assert evaluate_kernel(qspline, "v4") == tc.evaluate(
+        assert evaluate_kernel_all_overlays(qspline, ("v4",))["v4"] == tc.evaluate(
             qspline, OverlaySpec("v4")
         )
 
-    def test_evaluate_kernel_depth_override_warns_and_is_honored(self, gradient):
-        with pytest.warns(DeprecationWarning):
-            result = evaluate_kernel(gradient, "v1", fixed_depth=6)
+    def test_all_overlays_helper_honors_depth_override(self, gradient):
+        result = evaluate_kernel_all_overlays(gradient, ("v1",), fixed_depth=6)["v1"]
         assert result.overlay_depth == 6
 
-    def test_legacy_sweep_point_matches_spec_point(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SweepPoint(kernel="gradient", variant="v1", num_blocks=8)
-        spec = SweepPoint(
+    def test_run_point_matches_session_sweep(self):
+        point = SweepPoint(
             kernel="gradient",
             overlay=OverlaySpec("v1"),
             sim=SimSpec(engine="fast", num_blocks=8),
         )
-        assert legacy == spec
-        legacy_row = run_point(legacy).as_row()
-        spec_row = run_point(spec).as_row()
-        legacy_row.pop("elapsed_s"), spec_row.pop("elapsed_s")
-        assert legacy_row == spec_row
+        [swept] = Toolchain(cache=ScheduleCache()).sweep(
+            SweepSpec(kernels=("gradient",), overlays=(point.overlay,), sim=point.sim, jobs=1)
+        )
+        point_row = run_point(point).as_row()
+        sweep_row = swept.as_row()
+        point_row.pop("elapsed_s"), sweep_row.pop("elapsed_s")
+        assert point_row == sweep_row
 
-    def test_legacy_runtime_signature_matches_spec_signature(self):
+    def test_session_runtime_matches_spec_runtime(self):
         from repro.runtime import OverlayRuntime, RuntimeManager
 
         assert RuntimeManager is OverlayRuntime
-        with pytest.warns(DeprecationWarning):
-            legacy = OverlayRuntime("v3", depth=8, cache=ScheduleCache())
+        session = Toolchain(cache=ScheduleCache()).runtime(OverlaySpec("v3", depth=8))
         spec = OverlayRuntime(OverlaySpec("v3", depth=8), cache=ScheduleCache())
-        assert legacy.overlay == spec.overlay
-        assert (legacy.engine, legacy.verify) == (spec.engine, spec.verify)
-        a = legacy.register("gradient")
+        assert session.overlay == spec.overlay
+        assert (session.engine, session.verify) == (spec.engine, spec.verify)
+        a = session.register("gradient")
         b = spec.register("gradient")
         assert a.configuration.total_words == b.configuration.total_words
         assert a.schedule.assignment == b.schedule.assignment
@@ -310,48 +315,52 @@ class TestScheduleOnlyHandles:
         result = tc.simulate(handle, SimSpec(num_blocks=4))
         assert result.matches_reference
 
-    def test_evaluate_kernel_simulate_keeps_working_for_overflow_kernels(self):
-        result = evaluate_kernel(
-            self._instruction_overflow_kernel(), "v3", fixed_depth=2, simulate=True
+    def test_evaluate_simulate_keeps_working_for_overflow_kernels(self):
+        tc = Toolchain(cache=ScheduleCache())
+        result = tc.evaluate(
+            self._instruction_overflow_kernel(), OverlaySpec("v3", depth=2), sim=SimSpec()
         )
         assert result.simulated
         assert result.reference_match is True
 
-    def test_legacy_positional_runtime_arguments(self):
+    def test_positional_runtime_arguments(self):
         from repro.runtime import OverlayRuntime
 
-        with pytest.warns(DeprecationWarning):
-            by_position = OverlayRuntime("v3", 8)
-        assert by_position.overlay.depth == 8
-        with pytest.warns(DeprecationWarning):
-            no_verify = OverlayRuntime("v1", 4, False)
-        assert no_verify.verify is False
-        assert no_verify.cache is not False
-        with pytest.warns(DeprecationWarning):
-            full = OverlayRuntime("v1", 4, True, "fast")
-        assert (full.engine, full.verify) == ("fast", True)
-        with pytest.warns(DeprecationWarning):
-            mixed = OverlayRuntime("v3", 8, True, "cycle", cache=ScheduleCache())
-        assert mixed.cache is not None and mixed.overlay.depth == 8
+        cache = ScheduleCache()
+        runtime = OverlayRuntime(
+            OverlaySpec("v1", depth=4), SimSpec(engine="fast", verify=False), cache
+        )
+        assert runtime.overlay.depth == 4
+        assert (runtime.engine, runtime.verify) == ("fast", False)
+        assert runtime.cache is cache
         with pytest.raises(ConfigurationError):
             OverlayRuntime(SimSpec())  # specs in the wrong slot fail loudly
         with pytest.raises(ConfigurationError):
-            OverlayRuntime("v3", SimSpec())  # legacy/spec mix fails loudly
+            OverlayRuntime("v3")  # a bare variant name is not a spec
+        with pytest.raises(ConfigurationError):
+            OverlayRuntime(OverlaySpec("v3"), "cycle")  # sim must be a SimSpec
 
-    def test_legacy_positional_sweep_point(self):
-        with pytest.warns(DeprecationWarning):
-            positional = SweepPoint("gradient", "v1", 6)
-        assert positional.overlay == OverlaySpec("v1", depth=6)
-        run_point(positional)  # must execute, not AttributeError
+    def test_positional_sweep_point(self):
+        positional = SweepPoint("gradient", OverlaySpec("v1", depth=6), SimSpec())
+        assert positional == SweepPoint(
+            kernel="gradient", overlay=OverlaySpec("v1", depth=6), sim=SimSpec()
+        )
+        assert run_point(positional).overlay_depth == 6
+        with pytest.raises(ConfigurationError):
+            SweepPoint("gradient", "v1", SimSpec())  # a bare variant is not a spec
         with pytest.raises(ConfigurationError):
             SweepPoint("gradient", OverlaySpec("v1"), "occupancy")
+        with pytest.raises(TypeError):
+            SweepPoint("gradient", "v1", 6, 8)  # the old flat positional form
 
-    def test_map_kernel_simulated_latency_is_consistent(self):
+    def test_evaluate_simulated_latency_is_consistent(self):
         from repro.metrics.performance import latency_ns
 
-        result = map_kernel("gradient", "v1", simulate=True, num_blocks=8)
-        performance = result.performance
-        assert performance.latency_cycles == float(result.simulation.latency_cycles)
+        tc = Toolchain(cache=ScheduleCache())
+        handle = tc.compile("gradient", OverlaySpec("v1"))
+        simulation = tc.simulate(handle, SimSpec(num_blocks=8))
+        performance = tc.evaluate(handle, sim=SimSpec(num_blocks=8))
+        assert performance.latency_cycles == float(simulation.latency_cycles)
         assert performance.latency_ns == pytest.approx(
             latency_ns(performance.latency_cycles, performance.fmax_mhz)
         )
@@ -394,7 +403,7 @@ class TestScheduleOnlyHandles:
     def test_isolated_session_tune_never_touches_default_cache(self):
         # The tuner compiles every candidate for triage and simulates the
         # frontier; both paths must stay inside the session-injected cache
-        # (the same leak class evaluate_many had before PR 6).
+        # (a session must never leak compilations into the default cache).
         from repro.engine.cache import default_cache
 
         tc = Toolchain(cache=ScheduleCache())

@@ -2,15 +2,20 @@
 
 import pytest
 
-from repro.baseline.li2016 import baseline_overlay_for, evaluate_baseline, expected_ii
+from repro.api import default_toolchain
+from repro.baseline.li2016 import evaluate_baseline, expected_ii
 from repro.baseline.spatial import evaluate_spatial
 from repro.kernels import get_kernel
-from repro.metrics.performance import evaluate_kernel
+from repro.specs import OverlaySpec
+
+
+def _evaluate(dfg, variant):
+    return default_toolchain().evaluate(dfg, OverlaySpec(variant))
 
 
 class TestLi2016Baseline:
     def test_overlay_uses_the_baseline_fu(self, gradient):
-        overlay = baseline_overlay_for(gradient)
+        overlay = OverlaySpec("baseline").build_overlay(gradient)
         assert overlay.variant.name == "baseline"
         assert overlay.depth == 4
 
@@ -24,7 +29,7 @@ class TestLi2016Baseline:
     def test_baseline_is_slower_than_v1_everywhere(self, benchmarks):
         for name, dfg in benchmarks.items():
             baseline = evaluate_baseline(dfg)
-            v1 = evaluate_kernel(dfg, "v1")
+            v1 = _evaluate(dfg, "v1")
             assert baseline.ii >= v1.ii, name
             assert baseline.throughput_gops <= v1.throughput_gops, name
 
@@ -41,14 +46,14 @@ class TestSpatialOverlay:
 
     def test_spatial_throughput_higher_but_area_larger(self, qspline):
         spatial = evaluate_spatial(qspline)
-        tm = evaluate_kernel(qspline, "v1")
+        tm = _evaluate(qspline, "v1")
         assert spatial.throughput_gops > tm.throughput_gops
         assert spatial.dsp_blocks > tm.dsp_blocks
 
     def test_gradient_spatial_vs_tm_tradeoff_from_section_iii(self, gradient):
         """Section III: spatial needs 11 FUs at II 1, the TM overlay 4 FUs."""
         spatial = evaluate_spatial(gradient)
-        tm = evaluate_kernel(gradient, "v1")
+        tm = _evaluate(gradient, "v1")
         assert spatial.num_fus == 11
         assert tm.overlay_depth == 4
         assert spatial.dsp_blocks / tm.dsp_blocks == pytest.approx(11 / 4)

@@ -4,7 +4,7 @@ Exercises the backend half of the compile-path overhaul: the source fast
 path of :meth:`repro.engine.cache.ScheduleCache.get_or_compile_source`, its
 interaction with the frontend cache, invalidation on source edits, and the
 wiring through :class:`repro.runtime.manager.OverlayRuntime` and
-:func:`repro.metrics.performance.evaluate_kernel`.
+:meth:`repro.api.Toolchain.evaluate`.
 """
 
 import pytest
@@ -13,10 +13,11 @@ from repro.engine.cache import ScheduleCache, default_cache
 from repro.frontend.cache import FrontendCache, default_frontend_cache
 from repro.kernels.library import CHEBYSHEV_C_SOURCE, GRADIENT_C_SOURCE, get_kernel_source
 from repro.errors import KernelError
-from repro.metrics.performance import evaluate_kernel
+from repro.api import default_toolchain
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import get_variant
 from repro.runtime.manager import OverlayRuntime
+from repro.specs import OverlaySpec
 
 SOURCE = "int triple(int a) { return a + a + a; }"
 #: Same structure, one constant-free edit that keeps depth and I/O intact.
@@ -91,7 +92,7 @@ class TestSourceFastPath:
 
 class TestRuntimeWiring:
     def test_register_source_compiles_and_executes(self):
-        runtime = OverlayRuntime("v1", depth=8, cache=ScheduleCache())
+        runtime = OverlayRuntime(OverlaySpec("v1", depth=8), cache=ScheduleCache())
         handle = runtime.register_source(GRADIENT_C_SOURCE)
         assert handle.name == "gradient"
         result = runtime.execute_random("gradient", num_blocks=4)
@@ -99,8 +100,8 @@ class TestRuntimeWiring:
 
     def test_register_source_shares_compilations_across_runtimes(self):
         cache = ScheduleCache()
-        first = OverlayRuntime("v1", depth=8, cache=cache)
-        second = OverlayRuntime("v1", depth=8, cache=cache)
+        first = OverlayRuntime(OverlaySpec("v1", depth=8), cache=cache)
+        second = OverlayRuntime(OverlaySpec("v1", depth=8), cache=cache)
         a = first.register_source(CHEBYSHEV_C_SOURCE)
         b = second.register_source(CHEBYSHEV_C_SOURCE)
         assert a.schedule is b.schedule
@@ -108,7 +109,7 @@ class TestRuntimeWiring:
 
     def test_register_source_matches_register_of_library_kernel(self):
         cache = ScheduleCache()
-        runtime = OverlayRuntime("v1", depth=8, cache=cache)
+        runtime = OverlayRuntime(OverlaySpec("v1", depth=8), cache=cache)
         from_source = runtime.register_source(GRADIENT_C_SOURCE)
         from_library = runtime.register("gradient")
         # The library's gradient is parsed from the same source, so the
@@ -118,16 +119,16 @@ class TestRuntimeWiring:
 
 
 class TestMetricsWiring:
-    def test_evaluate_kernel_uses_the_default_cache(self, gradient):
+    def test_default_session_evaluate_uses_the_default_cache(self, gradient):
         cache = default_cache()
         cache.clear()
-        evaluate_kernel(gradient, "v1")
+        default_toolchain().evaluate(gradient, OverlaySpec("v1"))
         misses_after_first = cache.stats.misses
-        evaluate_kernel(gradient, "v1")
+        default_toolchain().evaluate(gradient, OverlaySpec("v1"))
         assert cache.stats.misses == misses_after_first
         assert cache.stats.hits >= 1
 
-    def test_evaluate_kernel_survives_regalloc_overflow(self):
+    def test_evaluate_survives_regalloc_overflow(self):
         """Analytic evaluation must not fail on kernels that schedule but
         exceed the register file (the full compile is cache-only bonus)."""
         from repro.dfg.builder import DFGBuilder
@@ -138,17 +139,17 @@ class TestMetricsWiring:
         products = [builder.mul(inputs[k], inputs[(k + 1) % 20]) for k in range(20)]
         builder.output(builder.reduce(OpCode.ADD, products), "o")
         wide = builder.build()
-        result = evaluate_kernel(wide, "v1")  # 20 loads > V1's 16-entry window
+        # 20 loads > V1's 16-entry window
+        result = default_toolchain().evaluate(wide, OverlaySpec("v1"))
         assert result.ii > 0
 
-    def test_map_kernel_warm_path_is_fully_cached(self):
-        from repro import map_kernel
-
+    def test_compile_evaluate_warm_path_is_fully_cached(self):
+        tc = default_toolchain()
         default_cache().clear()
-        map_kernel("gradient", "v1")
+        tc.evaluate(tc.compile("gradient", OverlaySpec("v1")))
         misses = default_cache().stats.misses
         for _ in range(3):
-            map_kernel("gradient", "v1")
+            tc.evaluate(tc.compile("gradient", OverlaySpec("v1")))
         assert default_cache().stats.misses == misses
 
 

@@ -4,10 +4,9 @@ The overlay service hands one shared compile cache to many worker threads,
 so this file pins the guarantees that make that safe:
 
 * **shared cache, many threads** — N threads compiling a grid of
-  ``(kernel, variant)`` points through one :class:`ScheduleCache` (and one
-  :class:`ShardedScheduleCache`) produce bit-identical artifacts per point
-  and run the mapping pipeline exactly once per distinct key, never per
-  thread;
+  ``(kernel, variant)`` points through one :class:`ScheduleCache` produce
+  bit-identical artifacts per point and run the mapping pipeline exactly
+  once per distinct key, never per thread;
 * **coalescing** — concurrent identical compiles block on the in-flight
   leader instead of duplicating work, and a failing leader propagates its
   exception to every waiter without poisoning the key;
@@ -16,8 +15,8 @@ so this file pins the guarantees that make that safe:
 * **disk-layer discipline** — concurrent writers sharing one ``disk_dir``
   (the temp+rename pattern of ``engine/store.py``) never let a reader see
   a truncated artifact;
-* **sharding mechanics** — key routing, wrapper-level source fast path,
-  merged statistics, per-shard capacity.
+* **shared-cache mechanics** — deterministic hits on a second pass, the
+  capacity bound, the source fast path, ``clear()``.
 """
 
 import pickle
@@ -26,7 +25,7 @@ import threading
 import pytest
 
 from repro.api import Toolchain
-from repro.engine.cache import CacheStats, ScheduleCache, ShardedScheduleCache
+from repro.engine.cache import ScheduleCache
 from repro.errors import CodegenError
 from repro.kernels import get_kernel
 from repro.specs import OverlaySpec
@@ -73,13 +72,15 @@ class TestSharedCacheConcurrency:
     @pytest.mark.parametrize(
         "make_cache",
         [
-            lambda: ScheduleCache(capacity=64),
-            lambda: ShardedScheduleCache(capacity=64, shards=4),
+            lambda tmp_path: ScheduleCache(capacity=64),
+            lambda tmp_path: ScheduleCache(capacity=64, disk_dir=str(tmp_path)),
         ],
-        ids=["flat", "sharded"],
+        ids=["flat", "disk"],
     )
-    def test_grid_compiles_bit_identically_with_one_run_per_key(self, make_cache):
-        cache = make_cache()
+    def test_grid_compiles_bit_identically_with_one_run_per_key(
+        self, make_cache, tmp_path
+    ):
+        cache = make_cache(tmp_path)
         results = _compile_grid_concurrently(cache, threads_per_point=4)
         # Bit-identical artifacts: every thread of a point saw one image.
         assert set(results) == set(GRID)
@@ -248,54 +249,49 @@ class TestDiskLayerRaces:
         assert cold.stats.misses == 0
 
 
-class TestShardedCacheMechanics:
-    def test_keys_route_to_stable_shards(self):
-        cache = ShardedScheduleCache(capacity=32, shards=4)
+class TestSharedCacheMechanics:
+    def test_second_pass_is_all_hits(self):
+        cache = ScheduleCache(capacity=32)
         for kernel, variant in GRID:
             Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
         assert len(cache) == len(GRID)
-        assert sum(len(shard) for shard in cache._shards) == len(GRID)
-        # A second pass is all hits: routing is deterministic.
+        # A second pass is all hits: key derivation is deterministic.
         for kernel, variant in GRID:
             Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
         assert cache.stats.hits == len(GRID)
         assert cache.stats.misses == len(GRID)
 
-    def test_capacity_is_summed_across_shards(self):
-        cache = ShardedScheduleCache(capacity=30, shards=4)
-        assert cache.num_shards == 4
-        assert cache.capacity >= 30  # per-shard ceil rounding may add slack
-        assert cache.capacity == sum(s.capacity for s in cache._shards)
-
-    def test_stats_merge_across_shards(self):
-        cache = ShardedScheduleCache(capacity=32, shards=4)
+    def test_capacity_bounds_the_entries(self):
+        cache = ScheduleCache(capacity=2)
         for kernel, variant in GRID:
             Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
-        merged = cache.stats
-        assert isinstance(merged, CacheStats)
-        assert merged.misses == sum(s.stats.misses for s in cache._shards)
-        rows = cache.shard_stats()
-        assert len(rows) == 4
-        assert sum(row.misses for row in rows) == merged.misses
+        assert cache.capacity == 2
+        assert len(cache) == 2
+        assert cache.stats.evictions == len(GRID) - 2
 
-    def test_source_fast_path_has_a_wrapper_level_index(self):
+    def test_source_fast_path_compiles_once(self):
         source = """
 void grad(int a, int b, int c, int *out) {
     *out = (b - a) + (c - b);
 }
 """
-        cache = ShardedScheduleCache(capacity=32, shards=4)
+        cache = ScheduleCache(capacity=32)
         toolchain = Toolchain(cache=cache)
         first = toolchain.compile(source=source, overlay=OverlaySpec())
         second = toolchain.compile(source=source, overlay=OverlaySpec())
         assert first.schedule is second.schedule
         assert cache.stats.source_hits == 1
-        assert cache.stats.misses == 1  # compiled once, in one shard only
+        assert cache.stats.misses == 1
 
-    def test_clear_empties_every_shard(self):
-        cache = ShardedScheduleCache(capacity=32, shards=4)
+    def test_clear_empties_everything(self):
+        cache = ScheduleCache(capacity=32)
         for kernel, variant in GRID:
             Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
         cache.clear()
         assert len(cache) == 0
-        assert all(len(shard) == 0 for shard in cache._shards)
+        assert cache.stats.lookups == 0
+        # Nothing survives: the same grid compiles from scratch again.
+        for kernel, variant in GRID:
+            Toolchain(cache=cache).compile(kernel, OverlaySpec(variant=variant))
+        assert cache.stats.misses == len(GRID)
+        assert cache.stats.hits == 0

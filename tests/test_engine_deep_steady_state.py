@@ -14,12 +14,11 @@ This suite pins down the occupancy detector's guarantees there:
 * the ``detector`` knob is plumbed through ``simulate_schedule``, sweep
   points and the CLI;
 * the satellite fixes: the schedule-only compile-cache path is memoised,
-  ``parallel_map`` no longer swallows worker errors, and runs too short to
-  measure an II report ``None`` instead of crashing the sweep.
+  and runs too short to measure an II report ``None`` instead of crashing
+  the sweep.
 """
 
 import json
-import os
 
 import pytest
 
@@ -32,12 +31,11 @@ from repro.engine.fastsim import (
 from repro.engine.sweep import (
     SweepPoint,
     build_grid,
-    parallel_map,
     render_sweep_table,
     run_point,
     run_sweep,
 )
-from repro.errors import CodegenError, ConfigurationError, SweepError
+from repro.errors import CodegenError, ConfigurationError
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.kernels.generators import dfg_from_level_profile
 from repro.kernels.reference import random_input_blocks
@@ -45,6 +43,7 @@ from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import V3, V4, V5
 from repro.schedule import schedule_kernel
 from repro.sim.overlay import OverlaySimulator, simulate_schedule
+from repro.specs import OverlaySpec, SimSpec
 
 #: Everything the engines must agree on exactly (same list as the main
 #: equivalence suite; repeated here so this file stands alone).
@@ -139,7 +138,7 @@ class TestDetectorAgreement:
         with pytest.raises(ConfigurationError):
             FastSimulator(schedule, detector="psychic")
         with pytest.raises(ConfigurationError):
-            run_sweep([SweepPoint(kernel="qspline", variant="v3", detector="psychic")])
+            run_sweep([SweepPoint("qspline", OverlaySpec("v3"), SimSpec(detector="psychic"))])
 
 
 class TestEarlySteadyStateSkip:
@@ -216,15 +215,20 @@ class TestDetectorPlumbing:
         assert fast.completion_cycles == legacy.completion_cycles
 
     def test_sweep_point_detector_flows_into_result(self):
-        point = SweepPoint(kernel="qspline", variant="v3", depth=8,
-                           num_blocks=24, detector="legacy")
+        point = SweepPoint(
+            "qspline",
+            OverlaySpec("v3", depth=8),
+            SimSpec(engine="fast", num_blocks=24, detector="legacy"),
+        )
         result = run_point(point)
         assert result.detector == "legacy"
         assert result.matches_reference
 
     def test_build_grid_propagates_detector(self):
-        grid = build_grid(kernels=["qspline"], variants=("v3",), detector="legacy")
-        assert all(point.detector == "legacy" for point in grid)
+        grid = build_grid(
+            ["qspline"], overlays=[OverlaySpec("v3")], sim=SimSpec(detector="legacy")
+        )
+        assert all(point.sim.detector == "legacy" for point in grid)
 
     def test_cli_sweep_detector_smoke(self, capsys):
         from repro.cli import main
@@ -264,10 +268,10 @@ class TestScheduleOnlyMemoisation:
         assert first is second
         assert cache.stats.schedule_hits == 1
 
-    def test_evaluate_kernel_keeps_working_for_codegen_failures(self):
-        from repro.metrics.performance import evaluate_kernel
+    def test_evaluate_keeps_working_for_codegen_failures(self):
+        from repro.api import Toolchain
 
-        result = evaluate_kernel(_fat_kernel(), "v3")
+        result = Toolchain(cache=ScheduleCache()).evaluate(_fat_kernel(), OverlaySpec("v3"))
         assert result.ii > 0
         assert result.throughput_gops > 0
 
@@ -279,30 +283,6 @@ class TestScheduleOnlyMemoisation:
         assert schedule is compiled.schedule
 
 
-def _raise_oserror(_):
-    raise OSError("worker failure that must surface, not trigger a re-run")
-
-
-def _exit_hard(_):
-    os._exit(13)
-
-
-class TestParallelMapErrorSurfacing:
-    def test_worker_exception_propagates(self):
-        # Before the fix an OSError from fn silently re-executed every item
-        # serially (duplicating side effects) — now it surfaces.
-        with pytest.raises(OSError, match="must surface"):
-            parallel_map(_raise_oserror, [1, 2, 3, 4], jobs=2)
-
-    def test_dead_worker_raises_sweep_error(self):
-        with pytest.raises(SweepError, match="rerun with jobs=1"):
-            parallel_map(_exit_hard, [1, 2, 3, 4], jobs=2)
-
-    def test_serial_paths_unaffected(self):
-        assert parallel_map(lambda x: x * 2, [3], jobs=8) == [6]
-        assert parallel_map(lambda x: x * 2, [1, 2], jobs=1) == [2, 4]
-
-
 class TestUnmeasurableII:
     def test_single_block_has_no_measured_ii(self):
         schedule = _fixed_schedule("qspline", V3, 8)
@@ -312,7 +292,7 @@ class TestUnmeasurableII:
             assert result.matches_reference
 
     def test_run_point_reports_none_and_falls_back_to_analytic(self):
-        point = SweepPoint(kernel="qspline", variant="v3", depth=8, num_blocks=1)
+        point = SweepPoint("qspline", OverlaySpec("v3", depth=8), SimSpec(engine="fast", num_blocks=1))
         result = run_point(point)
         assert result.measured_ii is None
         assert result.latency_cycles > 0
@@ -326,5 +306,5 @@ class TestUnmeasurableII:
         assert " - " in table or " -\n" in table or "- " in table
 
     def test_two_blocks_measure_again(self):
-        point = SweepPoint(kernel="qspline", variant="v3", depth=8, num_blocks=2)
+        point = SweepPoint("qspline", OverlaySpec("v3", depth=8), SimSpec(engine="fast", num_blocks=2))
         assert run_point(point).measured_ii is not None

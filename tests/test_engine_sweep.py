@@ -9,7 +9,6 @@ from repro.engine.sweep import (
     SweepPoint,
     build_grid,
     evaluate_many,
-    parallel_map,
     render_sweep_table,
     results_to_json,
     run_point,
@@ -19,16 +18,29 @@ from repro.errors import ConfigurationError
 from repro.kernels import kernel_names
 from repro.metrics.performance import evaluate_kernel_all_overlays
 from repro.kernels.library import get_kernel
+from repro.specs import OverlaySpec, SimSpec
+
+
+def _v1_grid(kernels, num_blocks=8):
+    return build_grid(
+        kernels, overlays=[OverlaySpec("v1")], sim=SimSpec(engine="fast", num_blocks=num_blocks)
+    )
 
 
 class TestGridConstruction:
     def test_grid_crosses_all_dimensions(self):
         grid = build_grid(
-            kernels=["gradient", "qspline"], variants=["v1", "v2"], depths=[0, 8]
+            ["gradient", "qspline"],
+            overlays=[
+                OverlaySpec(variant, depth=depth)
+                for variant in ("v1", "v2")
+                for depth in (None, 8)
+            ],
         )
         assert len(grid) == 8
         assert {p.kernel for p in grid} == {"gradient", "qspline"}
-        assert {p.variant for p in grid} == {"v1", "v2"}
+        assert {p.overlay.variant for p in grid} == {"v1", "v2"}
+        assert {p.overlay.depth for p in grid} == {None, 8}
 
     def test_default_grid_covers_the_library(self):
         grid = build_grid()
@@ -37,20 +49,26 @@ class TestGridConstruction:
 
 class TestRunPoint:
     def test_point_measures_ii_and_verifies(self):
-        result = run_point(SweepPoint(kernel="gradient", variant="v1", num_blocks=16))
+        result = run_point(
+            SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="fast", num_blocks=16))
+        )
         assert result.overlay_name == "V1x4"
         assert result.measured_ii == pytest.approx(result.analytic_ii)
         assert result.matches_reference is True
         assert result.throughput_gops > 0
 
     def test_fixed_depth_variant_auto_depth(self):
-        result = run_point(SweepPoint(kernel="poly7", variant="v3", num_blocks=8))
+        result = run_point(
+            SweepPoint("poly7", OverlaySpec("v3"), SimSpec(engine="fast", num_blocks=8))
+        )
         assert result.overlay_depth == 8
 
     def test_engines_agree_on_a_point(self):
-        fast = run_point(SweepPoint(kernel="mibench", variant="v1", num_blocks=24))
+        fast = run_point(
+            SweepPoint("mibench", OverlaySpec("v1"), SimSpec(engine="fast", num_blocks=24))
+        )
         cycle = run_point(
-            SweepPoint(kernel="mibench", variant="v1", num_blocks=24, engine="cycle")
+            SweepPoint("mibench", OverlaySpec("v1"), SimSpec(engine="cycle", num_blocks=24))
         )
         assert fast.measured_ii == cycle.measured_ii
         assert fast.latency_cycles == cycle.latency_cycles
@@ -59,13 +77,13 @@ class TestRunPoint:
 
 class TestRunSweep:
     def test_serial_sweep_preserves_grid_order(self):
-        grid = build_grid(kernels=["gradient", "chebyshev"], variants=["v1"], num_blocks=8)
+        grid = _v1_grid(["gradient", "chebyshev"])
         results = run_sweep(grid, jobs=1)
         assert [r.kernel for r in results] == ["gradient", "chebyshev"]
         assert all(r.matches_reference for r in results)
 
     def test_parallel_sweep_matches_serial(self):
-        grid = build_grid(kernels=["gradient", "chebyshev"], variants=["v1"], num_blocks=8)
+        grid = _v1_grid(["gradient", "chebyshev"])
         serial = run_sweep(grid, jobs=1)
         parallel = run_sweep(grid, jobs=2)
         for a, b in zip(serial, parallel):
@@ -76,18 +94,31 @@ class TestRunSweep:
                 b.total_cycles,
             )
 
+    def test_single_point_runs_in_process_whatever_jobs(self):
+        # One point never pays for a pool: it runs here, through the
+        # injected cache, and matches the serial row.
+        from repro.engine.cache import ScheduleCache
+
+        grid = _v1_grid(["gradient"])
+        cache = ScheduleCache()
+        [pooled] = run_sweep(grid, jobs=8, cache=cache)
+        assert cache.stats.misses == 1
+        [serial] = run_sweep(grid, jobs=1)
+        assert (pooled.measured_ii, pooled.latency_cycles, pooled.total_cycles) == (
+            serial.measured_ii,
+            serial.latency_cycles,
+            serial.total_cycles,
+        )
+
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_sweep([SweepPoint(kernel="gradient", variant="v1", engine="warp")])
-
-    def test_parallel_map_serial_fallback(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3], jobs=1) == [2, 4, 6]
+            run_sweep([SweepPoint("gradient", OverlaySpec("v1"), SimSpec(engine="warp"))])
 
 
 class TestEvaluateMany:
     def test_matches_direct_evaluation(self):
         names = ["gradient", "chebyshev"]
-        fanned = evaluate_many(names, jobs=1)
+        fanned = evaluate_many(names)
         for name in names:
             direct = evaluate_kernel_all_overlays(get_kernel(name))
             assert set(fanned[name]) == set(direct)
@@ -104,9 +135,7 @@ class TestEvaluateMany:
 
         cache = ScheduleCache()
         default_misses = default_cache().stats.misses
-        results = evaluate_many(
-            ["gradient"], variants=("v1", "v2"), jobs=1, cache=cache
-        )
+        results = evaluate_many(["gradient"], variants=("v1", "v2"), cache=cache)
         assert set(results["gradient"]) == {"v1", "v2"}
         assert cache.stats.misses == 2  # both compilations landed here
         assert default_cache().stats.misses == default_misses
@@ -168,7 +197,8 @@ class TestSweepCLI:
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "[1/1] gradient V1x4 ok" in captured.err
-        rows = json.loads(open(output).read())
+        with open(output) as handle:
+            rows = json.load(handle)
         assert rows[0]["kernel"] == "gradient"
         # Second run resumes from the store and says so.
         assert main(argv) == 0
@@ -215,14 +245,14 @@ class TestSweepCLI:
 class TestRendering:
     def test_results_to_json_round_trips(self):
         results = run_sweep(
-            build_grid(kernels=["gradient"], variants=["v1"], num_blocks=8), jobs=1
+            _v1_grid(["gradient"]), jobs=1
         )
         rows = json.loads(results_to_json(results))
         assert rows[0]["kernel"] == "gradient"
 
     def test_render_table_contains_header_and_rows(self):
         results = run_sweep(
-            build_grid(kernels=["gradient"], variants=["v1"], num_blocks=8), jobs=1
+            _v1_grid(["gradient"]), jobs=1
         )
         table = render_sweep_table(results)
         assert "kernel" in table.splitlines()[0]

@@ -7,14 +7,20 @@ its abstract, Section IV walk-through and Section V evaluation.
 
 import pytest
 
+from repro.api import default_toolchain
 from repro.kernels import PAPER_TABLE3_II, TABLE3_BENCHMARKS, get_kernel
 from repro.metrics.comparison import average_reduction
-from repro.metrics.performance import evaluate_kernel, evaluate_kernel_all_overlays
+from repro.metrics.performance import evaluate_kernel_all_overlays
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.context_switch import context_switch_reduction, context_switch_time_s
 from repro.program.codegen import generate_program
 from repro.schedule import analytic_ii, schedule_kernel
 from repro.sim.overlay import simulate_schedule
+from repro.specs import OverlaySpec, SimSpec
+
+
+def _evaluate(dfg, variant, depth=None, sim=None):
+    return default_toolchain().evaluate(dfg, OverlaySpec(variant, depth=depth), sim=sim)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +84,8 @@ class TestSectionIVCaseStudy:
         assert ii == {"baseline": 11, "v1": 6, "v2": 3}
 
     def test_gradient_throughput_and_latency(self, gradient):
-        v1 = evaluate_kernel(gradient, "v1")
-        v2 = evaluate_kernel(gradient, "v2")
+        v1 = _evaluate(gradient, "v1")
+        v2 = _evaluate(gradient, "v2")
         assert v1.throughput_gops == pytest.approx(0.59, abs=0.01)
         assert v1.latency_ns == pytest.approx(86.8, rel=0.02)
         assert v2.throughput_gops == pytest.approx(1.11, rel=0.08)
@@ -102,8 +108,8 @@ class TestSectionIVCaseStudy:
         assert v4_ii == pytest.approx(14, abs=2)
 
     def test_depth4_overlay_reduces_latency_versus_depth8(self, qspline):
-        v1 = evaluate_kernel(qspline, "v1")
-        v3 = evaluate_kernel(qspline, "v3", fixed_depth=4)
+        v1 = _evaluate(qspline, "v1")
+        v3 = _evaluate(qspline, "v3", depth=4)
         assert v3.latency_ns < v1.latency_ns
 
 
@@ -141,6 +147,6 @@ class TestEndToEndSimulation:
     def test_full_flow_verifies_on_every_evaluated_overlay(self, name):
         dfg = get_kernel(name)
         for label in ("baseline", "v1", "v2", "v3", "v4"):
-            result = evaluate_kernel(dfg, label, simulate=True, num_blocks=8)
+            result = _evaluate(dfg, label, sim=SimSpec(num_blocks=8))
             assert result.reference_match is True, f"{name}/{label}"
             assert result.measured_ii == pytest.approx(result.ii), f"{name}/{label}"

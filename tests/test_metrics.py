@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import default_toolchain
 from repro.errors import ConfigurationError
 from repro.kernels import TABLE3_BENCHMARKS, get_kernel
 from repro.metrics.comparison import (
@@ -15,10 +16,8 @@ from repro.metrics.comparison import (
 from repro.metrics.performance import (
     EVALUATION_VARIANTS,
     analytic_latency_cycles,
-    evaluate_kernel,
     evaluate_kernel_all_overlays,
     latency_ns,
-    overlay_for,
     throughput_gops,
 )
 from repro.metrics.tables import (
@@ -29,6 +28,11 @@ from repro.metrics.tables import (
     render_table3,
 )
 from repro.overlay.resources import scalability_sweep
+from repro.specs import OverlaySpec, SimSpec
+
+
+def _evaluate(dfg, variant, sim=None):
+    return default_toolchain().evaluate(dfg, OverlaySpec(variant), sim=sim)
 
 
 class TestBasicFormulas:
@@ -48,27 +52,27 @@ class TestBasicFormulas:
 
 class TestEvaluateKernel:
     def test_gradient_v1_reproduces_section_iv(self, gradient):
-        result = evaluate_kernel(gradient, "v1")
+        result = _evaluate(gradient, "v1")
         assert result.ii == pytest.approx(6)
         assert result.throughput_gops == pytest.approx(0.59, abs=0.01)
         assert result.latency_ns == pytest.approx(86.8, rel=0.02)
 
     def test_gradient_v2_reproduces_section_iv(self, gradient):
-        result = evaluate_kernel(gradient, "v2")
+        result = _evaluate(gradient, "v2")
         assert result.ii == pytest.approx(3)
         assert result.throughput_gops == pytest.approx(1.11, rel=0.08)
 
     def test_simulated_evaluation_verifies_reference(self, gradient):
-        result = evaluate_kernel(gradient, "v1", simulate=True, num_blocks=8)
+        result = _evaluate(gradient, "v1", sim=SimSpec(num_blocks=8))
         assert result.simulated
         assert result.reference_match is True
         assert result.measured_ii == pytest.approx(result.ii)
 
-    def test_overlay_for_picks_the_papers_policy(self, gradient, poly7):
-        assert overlay_for("v1", gradient).depth == 4
-        assert overlay_for("v1", poly7).depth == 13
-        assert overlay_for("v3", poly7).depth == 8
-        assert overlay_for("v3", poly7).fixed_depth
+    def test_overlay_spec_picks_the_papers_policy(self, gradient, poly7):
+        assert OverlaySpec("v1").build_overlay(gradient).depth == 4
+        assert OverlaySpec("v1").build_overlay(poly7).depth == 13
+        assert OverlaySpec("v3").build_overlay(poly7).depth == 8
+        assert OverlaySpec("v3").build_overlay(poly7).fixed_depth
 
     def test_all_overlays_evaluation_covers_the_paper_comparison(self, qspline):
         results = evaluate_kernel_all_overlays(qspline)
@@ -76,15 +80,15 @@ class TestEvaluateKernel:
         assert results["v2"].ii == pytest.approx(results["v1"].ii / 2)
 
     def test_as_row_is_flat_and_serialisable(self, gradient):
-        row = evaluate_kernel(gradient, "v1").as_row()
+        row = _evaluate(gradient, "v1").as_row()
         assert row["kernel"] == "gradient"
         assert isinstance(row["gops"], float)
 
     def test_analytic_latency_grows_with_depth(self, gradient, poly7):
         from repro.schedule import schedule_kernel
 
-        shallow = schedule_kernel(gradient, overlay_for("v1", gradient))
-        deep = schedule_kernel(poly7, overlay_for("v1", poly7))
+        shallow = schedule_kernel(gradient, OverlaySpec("v1").build_overlay(gradient))
+        deep = schedule_kernel(poly7, OverlaySpec("v1").build_overlay(poly7))
         assert analytic_latency_cycles(deep) > analytic_latency_cycles(shallow)
 
 
@@ -144,7 +148,7 @@ class TestTables:
 
     def test_render_table3_includes_paper_values(self):
         measured = {
-            name: {v: evaluate_kernel(get_kernel(name), v).ii for v in ("baseline", "v1")}
+            name: {v: _evaluate(get_kernel(name), v).ii for v in ("baseline", "v1")}
             for name in list(TABLE3_BENCHMARKS)[:2]
         }
         text = render_table3(measured)

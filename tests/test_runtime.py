@@ -5,11 +5,12 @@ import pytest
 from repro.errors import ConfigurationError, KernelError
 from repro.kernels.reference import evaluate_dfg, random_input_blocks
 from repro.runtime import OverlayRuntime
+from repro.specs import OverlaySpec
 
 
 class TestRegistration:
     def test_register_benchmark_kernel_by_name(self):
-        runtime = OverlayRuntime("v3", depth=8)
+        runtime = OverlayRuntime(OverlaySpec("v3", depth=8))
         handle = runtime.register("gradient")
         assert handle.name == "gradient"
         assert handle.ii == pytest.approx(6)
@@ -18,25 +19,25 @@ class TestRegistration:
     def test_register_custom_dfg(self):
         from repro.frontend import trace_kernel
 
-        runtime = OverlayRuntime("v1", depth=4)
+        runtime = OverlayRuntime(OverlaySpec("v1", depth=4))
         dfg = trace_kernel(lambda a, b: a * b + a, name="fma")
         handle = runtime.register(dfg)
         assert handle.name == "fma"
         assert handle.configuration.size_bytes > 0
 
     def test_unregistered_kernel_rejected(self):
-        runtime = OverlayRuntime("v3")
+        runtime = OverlayRuntime(OverlaySpec("v3"))
         with pytest.raises(KernelError):
             runtime.handle("ghost")
 
     def test_invalid_depth_rejected(self):
         with pytest.raises(ConfigurationError):
-            OverlayRuntime("v1", depth=0)
+            OverlayRuntime(OverlaySpec("v1", depth=0))
 
 
 class TestContextSwitching:
     def test_fixed_depth_runtime_never_reconfigures(self):
-        runtime = OverlayRuntime("v3", depth=8)
+        runtime = OverlayRuntime(OverlaySpec("v3", depth=8))
         for name in ("gradient", "poly7", "qspline"):
             runtime.register(name)
             runtime.load(name)
@@ -45,7 +46,7 @@ class TestContextSwitching:
         assert runtime.stats.reconfiguration_time_s == 0.0
 
     def test_critical_path_runtime_reconfigures_on_depth_change(self):
-        runtime = OverlayRuntime("v1", depth=4)
+        runtime = OverlayRuntime(OverlaySpec("v1", depth=4))
         runtime.register("gradient")   # depth 4
         runtime.register("qspline")    # depth 8
         runtime.load("gradient")
@@ -59,8 +60,8 @@ class TestContextSwitching:
         assert runtime.stats.context_switches == switches_before
 
     def test_switch_overhead_is_much_smaller_on_fixed_overlay(self):
-        v1 = OverlayRuntime("v1", depth=4)
-        v3 = OverlayRuntime("v3", depth=8)
+        v1 = OverlayRuntime(OverlaySpec("v1", depth=4))
+        v3 = OverlayRuntime(OverlaySpec("v3", depth=8))
         for runtime in (v1, v3):
             runtime.register("gradient")
             runtime.register("qspline")
@@ -72,7 +73,7 @@ class TestContextSwitching:
 
 class TestExecution:
     def test_execute_verifies_against_reference(self, gradient):
-        runtime = OverlayRuntime("v1", depth=4)
+        runtime = OverlayRuntime(OverlaySpec("v1", depth=4))
         runtime.register("gradient")
         blocks = [[1, 2, 3, 4, 5], [9, 8, 7, 6, 5]]
         result = runtime.execute("gradient", blocks)
@@ -81,14 +82,14 @@ class TestExecution:
         assert runtime.stats.execution_time_s > 0
 
     def test_execute_loads_kernel_implicitly(self):
-        runtime = OverlayRuntime("v3", depth=8)
+        runtime = OverlayRuntime(OverlaySpec("v3", depth=8))
         runtime.register("chebyshev")
         runtime.execute_random("chebyshev", num_blocks=4)
         assert runtime.loaded_kernel == "chebyshev"
         assert runtime.stats.context_switches == 1
 
     def test_run_workload_round_robin(self):
-        runtime = OverlayRuntime("v3", depth=8)
+        runtime = OverlayRuntime(OverlaySpec("v3", depth=8))
         stats = runtime.run_workload(
             ["gradient", "qspline", ("gradient", 3)], blocks_per_kernel=4
         )
@@ -100,7 +101,7 @@ class TestExecution:
         assert "context switches" in stats.summary()
 
     def test_workload_on_critical_path_overlay_accumulates_pcap_time(self):
-        runtime = OverlayRuntime("v1", depth=4)
+        runtime = OverlayRuntime(OverlaySpec("v1", depth=4))
         runtime.run_workload(["gradient", "qspline", "gradient"], blocks_per_kernel=3)
         assert runtime.stats.partial_reconfigurations >= 2
         assert runtime.stats.reconfiguration_time_s > 1e-3

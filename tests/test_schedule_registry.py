@@ -372,7 +372,7 @@ class TestSchedulerPlumbing:
             overlays=[OverlaySpec("v3")],
             schedulers=["clustered", "modulo"],
         )
-        assert [p.scheduler for p in points] == ["clustered", "modulo"]
+        assert [p.overlay.scheduler for p in points] == ["clustered", "modulo"]
 
     def test_evaluate_reports_strategy(self):
         tc = Toolchain(cache=ScheduleCache(capacity=8))

@@ -11,7 +11,7 @@ Four layers of guarantees:
   digests the same configuration image, ``evaluate``/``simulate``/
   ``verify`` rows match direct calls, and the introspection endpoints
   speak the live registries;
-* **tenancy** — shared tenants hit one sharded cache (tenant B's warm
+* **tenancy** — shared tenants hit one shared cache (tenant B's warm
   compile is tenant A's artifact), isolated tenants reproduce the
   two-sessions-share-nothing semantics of ``tests/test_api_toolchain.py``,
   and flipping a tenant's isolation mode after creation is refused;
@@ -25,13 +25,14 @@ TCP client, malformed frames) and the ``serve``/``stats`` CLI plumbing.
 
 import hashlib
 import json
+import logging
 import threading
 import time
 
 import pytest
 
 from repro.api import Toolchain
-from repro.engine.cache import ScheduleCache, ShardedScheduleCache
+from repro.engine.cache import ScheduleCache
 from repro.errors import (
     CodegenError,
     ConfigurationError,
@@ -73,7 +74,7 @@ void grad(int a, int b, int c, int *out) {
 
 @pytest.fixture()
 def service():
-    svc = OverlayService(capacity=64, shards=4)
+    svc = OverlayService(capacity=64)
     yield svc
     svc.close()
 
@@ -371,7 +372,7 @@ class TestCoalescing:
             return original(self, key, dfg, overlay)
 
         monkeypatch.setattr(ScheduleCache, "_compile_miss", slow_compile)
-        service = OverlayService(capacity=32, shards=4)
+        service = OverlayService(capacity=32)
         spec = OverlaySpec(variant="v3")
         barrier = threading.Barrier(K)
         rows = [None] * K
@@ -401,6 +402,52 @@ class TestCoalescing:
         assert stats.coalesced >= 1  # the pile-up was real, not sequential hits
         assert stats.hits + stats.coalesced == K - 1
 
+    def test_default_cache_coalesces_distinct_and_identical_keys(self, monkeypatch):
+        """N threads x M keys through OverlayService()'s own cache: one miss
+        per key, every other request coalesced, one image digest per key."""
+        variants = ("v1", "v2", "v3")
+        per_key = 4
+        original = ScheduleCache._compile_miss
+
+        def slow_compile(self, key, dfg, overlay):
+            time.sleep(0.3)  # hold every leader so the rest pile up on it
+            return original(self, key, dfg, overlay)
+
+        monkeypatch.setattr(ScheduleCache, "_compile_miss", slow_compile)
+        service = OverlayService()
+        jobs = [variant for variant in variants for _ in range(per_key)]
+        barrier = threading.Barrier(len(jobs))
+        rows = [None] * len(jobs)
+        errors = []
+
+        def worker(index):
+            client = InProcessClient(service, tenant=f"tenant-{index % 3}")
+            barrier.wait()
+            try:
+                rows[index] = client.compile("gradient", OverlaySpec(variant=jobs[index]))
+            except BaseException as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        service.close()
+
+        assert not errors
+        stats = service.cache.stats
+        assert stats.misses == len(variants)
+        assert stats.coalesced == len(jobs) - len(variants)
+        assert stats.hits == 0
+        for variant in variants:
+            digests = {
+                row["configuration"]["sha256"]
+                for row, job in zip(rows, jobs)
+                if job == variant
+            }
+            assert len(digests) == 1, variant
+
     def test_coalesced_errors_fan_out_to_every_waiter(self, monkeypatch):
         K = 4
 
@@ -409,7 +456,7 @@ class TestCoalescing:
             raise CodegenError("forced failure for every caller")
 
         monkeypatch.setattr(ScheduleCache, "_compile_miss", failing_compile)
-        service = OverlayService(capacity=32, shards=4)
+        service = OverlayService(capacity=32)
         barrier = threading.Barrier(K)
         codes = []
         lock = threading.Lock()
@@ -470,6 +517,20 @@ class TestSocketTransport:
                 # ... and the connection still works afterwards.
                 assert client.ping()["pong"] is True
 
+    def test_stop_with_live_client_logs_nothing(self, service, caplog):
+        """Stopping the server under open connections ends their handlers
+        quietly: no asyncio "Exception in callback" CancelledError report."""
+        server = BackgroundServer(service)
+        live = ServiceClient("127.0.0.1", server.port)
+        closed = ServiceClient("127.0.0.1", server.port)
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            assert live.ping()["pong"] is True
+            assert closed.ping()["pong"] is True
+            closed.close()
+            server.stop()
+        live.close()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
     def test_concurrent_tcp_clients(self, service):
         K = 6
         spec = OverlaySpec(variant="v1")
@@ -527,7 +588,9 @@ class TestServiceCLI:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--capacity", "16", "--shards", "2"]
+            ["serve", "--port", "0", "--capacity", "16"]
         )
         assert args.func.__name__ == "_cmd_serve"
         assert args.capacity == 16
+        with pytest.raises(SystemExit):  # one cache, no shard count to set
+            build_parser().parse_args(["serve", "--shards", "2"])

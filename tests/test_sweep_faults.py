@@ -10,8 +10,7 @@ degradation path documented in ``docs/sweeps.md``:
   single-worker isolation pool, so the crash is charged to the point that
   actually causes it and innocent neighbours are never quarantined;
 * an interrupted store-backed sweep, resumed, yields the same rows as an
-  uninterrupted run (the PR's kill-resume equivalence acceptance test);
-* the legacy ``parallel_map`` keeps its fail-fast ``SweepError`` contract.
+  uninterrupted run (the kill-resume equivalence acceptance test).
 """
 
 import dataclasses
@@ -27,8 +26,8 @@ from repro.engine.faults import (
     active_plan,
 )
 from repro.engine.store import ResultStore
-from repro.engine.sweep import build_grid, parallel_map, run_point, run_sweep
-from repro.errors import ConfigurationError, SweepError
+from repro.engine.sweep import build_grid, run_point, run_sweep
+from repro.errors import ConfigurationError
 from repro.specs import OverlaySpec
 
 KERNELS = ["gradient", "chebyshev", "mibench", "poly5"]
@@ -123,6 +122,40 @@ class TestSerialRetries:
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigurationError, match="retries"):
             run_sweep(_grid(["gradient"]), jobs=1, retries=-1)
+
+
+class TestPoolRaises:
+    """A raise inside a pool worker is a fault of that point alone."""
+
+    def test_transient_raise_in_a_worker_is_retried_to_success(self, tmp_path):
+        plan = FaultPlan(
+            rules=(FaultRule(mode="raise", kernel="chebyshev", times=1),),
+            state_dir=str(tmp_path),
+        )
+        with plan.install():
+            rows = run_sweep(_grid(), jobs=2, retries=2)
+        by_kernel = {r.kernel: r for r in rows}
+        assert [r.kernel for r in rows] == KERNELS
+        assert not any(r.quarantined for r in rows)
+        assert by_kernel["chebyshev"].attempts == 2
+        assert all(
+            r.attempts == 1 for k, r in by_kernel.items() if k != "chebyshev"
+        )
+
+    def test_persistent_raise_in_a_worker_is_quarantined_with_its_message(self):
+        # The worker's exception is reported on its own row; the neighbours
+        # are neither re-run nor charged for it.
+        plan = FaultPlan(rules=(FaultRule(mode="raise", kernel="chebyshev"),))
+        with plan.install():
+            rows = run_sweep(_grid(), jobs=2, retries=0)
+        by_kernel = {r.kernel: r for r in rows}
+        bad = by_kernel["chebyshev"]
+        assert bad.quarantined and bad.attempts == 1
+        assert "injected fault" in bad.error
+        for kernel in ("gradient", "mibench", "poly5"):
+            row = by_kernel[kernel]
+            assert not row.quarantined and row.attempts == 1
+            assert row.matches_reference is True
 
 
 class TestWorkerDeath:
@@ -220,22 +253,3 @@ class TestKillResumeEquivalence:
         uninterrupted = run_sweep(_grid(), jobs=1)
         assert [_strip(r) for r in resumed] == [_strip(r) for r in uninterrupted]
         assert not any(r.quarantined for r in resumed)
-
-
-class TestParallelMapContract:
-    def test_worker_death_raises_sweep_error(self, tmp_path):
-        # The legacy fail-fast path (evaluate_many and friends): a genuinely
-        # dying worker surfaces as SweepError, not a partial result list.
-        plan = FaultPlan(
-            rules=(FaultRule(mode="exit", kernel="chebyshev", times=1),),
-            state_dir=str(tmp_path),
-        )
-        with plan.install():
-            with pytest.raises(SweepError, match="worker process died"):
-                parallel_map(run_point, _grid(), jobs=2)
-
-    def test_injected_raise_propagates_unchanged(self):
-        plan = FaultPlan(rules=(FaultRule(mode="raise", kernel="gradient"),))
-        with plan.install():
-            with pytest.raises(InjectedFault, match="injected fault"):
-                parallel_map(run_point, _grid(["gradient", "poly5"]), jobs=2)

@@ -11,15 +11,11 @@ import dataclasses
 import json
 import os
 
-import pytest
-
 from repro.api import Toolchain
 from repro.engine.cache import ScheduleCache
 from repro.engine.store import STORE_VERSION, ResultStore
 from repro.engine.sweep import SweepPoint, build_grid, run_sweep, run_sweep_spec
 from repro.specs import OverlaySpec, SimSpec, SweepSpec
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _grid(kernels=("gradient", "poly5"), variant="v1"):
@@ -86,7 +82,8 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
         [path] = store.entry_paths()
-        entry = json.loads(open(path).read())
+        with open(path) as handle:
+            entry = json.load(handle)
         assert entry["version"] == STORE_VERSION
         assert entry["point"]["kernel"] == "gradient"
         assert entry["result"]["kernel"] == "gradient"
@@ -111,7 +108,8 @@ class TestRoundTrip:
         store = ResultStore(str(tmp_path))
         run_sweep(_grid(["gradient"]), jobs=1, store=store)
         [path] = store.entry_paths()
-        entry = json.loads(open(path).read())
+        with open(path) as handle:
+            entry = json.load(handle)
         entry["version"] = STORE_VERSION + 1
         with open(path, "w") as handle:
             json.dump(entry, handle)

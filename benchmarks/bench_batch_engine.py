@@ -1,18 +1,27 @@
-"""Batched-engine gate: whole-loop codegen + lane batching vs the fast engine.
+"""Batched-execution gate: the fast engine vs the cycle engine on multi-lane
+long streams.
 
-The batched engine's headline scenario is long-stream multi-lane sweeps on
-the write-back overlays: timing is value-independent, so a lane-parallel
-variant needs only one steady-state timing run per *distinct lane length*
-(round-robin dealing yields at most two), while the value plane evaluates
-the whole stream as vectorized numpy columns.  This harness runs exactly
-that — deep kernels on dual-lane V3/V4/V5 at depth 8 — with both engines
-and **gates a >= 3x aggregate speedup** of the batched engine over the fast
-engine, recording the ratio as ``batch_engine_speedup`` into
-``BENCH_results.json`` next to the wall-clock timings.
+The fast engine's two per-stream paths pay off on long multi-lane runs:
+timing is value-independent, so a lane-parallel overlay needs only one
+timing run per *distinct lane length* (round-robin dealing yields at most
+two), and the value plane evaluates the whole stream as vectorized numpy
+columns.  This harness runs exactly that — deep kernels on dual-lane
+V3/V4/V5 at depth 8 — with the fast engine and the cycle-accurate reference
+and **gates a >= 30x aggregate speedup** over the cycle engine, recording
+the ratio as ``batch_engine_speedup_vs_cycle`` into ``BENCH_results.json``
+next to the wall-clock timings.
 
-The two engines must also produce bit-identical results — the gate is only
-meaningful if batching changes nothing observable.  (Requires numpy, the
-``[batch]`` extra; the harness skips without it.)
+The bound comes from measurement on one x86-64 core (Python 3.11, numpy
+2.4): with both paths the fast engine is 48-64x the cycle engine; without
+lane sharing it drops to 24x, and the engine before the paths were added
+managed 20x.  The ratio moves with the host, so both paths are also checked
+directly: each simulate makes one timing run (both lanes get the same block
+count), and the vectorized evaluator, not the scalar fallback, serves every
+point.
+
+Both spellings must produce results bit-identical to the cycle engine's —
+the gate is only meaningful if the shortcuts change nothing observable.
+(Requires numpy, the ``[batch]`` extra; the harness skips without it.)
 """
 
 import dataclasses
@@ -29,6 +38,7 @@ from repro.kernels import get_kernel
 from repro.kernels.reference import random_input_blocks
 from repro.overlay.architecture import LinearOverlay
 from repro.overlay.fu import get_variant
+from repro.sim.overlay import OverlaySimulator
 
 #: kernel x variant points of the multi-lane sweep: deep kernels where the
 #: write-back overlays keep inter-stage FIFOs busy for thousands of cycles.
@@ -41,9 +51,9 @@ OVERLAY_DEPTH = 8
 FIFO_DEPTH = 8
 LANES = 2
 #: Long-stream regime (the service/sweep workload the engine targets).
-NUM_BLOCKS = 6000
-#: The gate: batched must beat the fast engine by at least this factor.
-MIN_SPEEDUP = 3.0
+NUM_BLOCKS = 2000
+#: The gate: the fast engine must beat the cycle engine by this factor.
+MIN_SPEEDUP = 30.0
 ROUNDS = 3
 
 COMPARED_FIELDS = (
@@ -68,17 +78,31 @@ def _cases():
         dfg = get_kernel(name)
         overlay = LinearOverlay.fixed(variant, OVERLAY_DEPTH, fifo_depth=FIFO_DEPTH)
         schedule = default_cache().get_or_compile(dfg, overlay).schedule
-        plan_for(schedule)  # loop codegen is a compile artifact, not runtime
         blocks = random_input_blocks(schedule.dfg, NUM_BLOCKS, seed=17)
         cases.append((name, variant_name, schedule, blocks))
     return cases
 
 
-def _time_point(schedule, blocks, make_simulator):
-    """Best-of-ROUNDS wall clock for one point (noise hits rounds, not sums)."""
+def _timing_runs(schedule, blocks):
+    """Lane lengths of the timing runs one fast-engine simulate makes."""
+    simulator = FastSimulator(schedule)
+    lengths = []
+    run_single_lane = simulator._run_single_lane
+
+    def counted(num_blocks):
+        lengths.append(num_blocks)
+        return run_single_lane(num_blocks)
+
+    simulator._run_single_lane = counted
+    simulator.run(blocks)
+    return lengths
+
+
+def _time_point(schedule, blocks, make_simulator, rounds):
+    """Best-of-``rounds`` wall clock for one point (noise hits rounds, not sums)."""
     best = float("inf")
     result = None
-    for _ in range(ROUNDS):
+    for _ in range(rounds):
         simulator = make_simulator(schedule)
         started = time.perf_counter()
         result = simulator.run(blocks)
@@ -88,35 +112,45 @@ def _time_point(schedule, blocks, make_simulator):
 
 def test_batch_engine_speedup_gate(save_result, record_metric):
     cases = _cases()
-    # Warm both code paths once, then take the per-point best of a few
-    # rounds so the gate measures the engines, not allocator noise; the
-    # timed results double as the bit-identity cross-check.
+    # Warm the fast engine once (value-plane plan included), then take the
+    # per-point best of a few rounds; the cycle engine runs once per point
+    # (it is ~50x slower, so its noise is relatively small).  The timed
+    # results double as the bit-identity cross-check.
     fast_s = 0.0
-    batched_s = 0.0
+    cycle_s = 0.0
     for name, variant, schedule, blocks in cases:
+        assert plan_for(schedule).vector_evaluator.evaluate(blocks) is not None, (
+            f"{name}/{variant}: the value plane fell back to the scalar evaluator"
+        )
+        assert _timing_runs(schedule, blocks) == [NUM_BLOCKS // LANES], (
+            f"{name}/{variant}: lanes of equal length did not share one timing run"
+        )
         FastSimulator(schedule).run(blocks)
-        BatchSimulator(schedule).run(blocks)
-        point_fast_s, fast = _time_point(schedule, blocks, FastSimulator)
-        point_batched_s, batched = _time_point(schedule, blocks, BatchSimulator)
+        point_fast_s, fast = _time_point(schedule, blocks, FastSimulator, ROUNDS)
+        point_cycle_s, cycle = _time_point(schedule, blocks, OverlaySimulator, 1)
+        batched = BatchSimulator(schedule).run(blocks)
         fast_s += point_fast_s
-        batched_s += point_batched_s
+        cycle_s += point_cycle_s
         for field in COMPARED_FIELDS:
+            assert getattr(fast, field) == getattr(cycle, field), (
+                f"{name}/{variant}: fast and cycle engines disagree on {field}"
+            )
             assert getattr(batched, field) == getattr(fast, field), (
-                f"{name}/{variant}: engines disagree on {field}"
+                f"{name}/{variant}: batched and fast disagree on {field}"
             )
 
-    speedup = fast_s / batched_s
+    speedup = cycle_s / fast_s
     lines = [
         f"long-stream multi-lane sweep: depth-{OVERLAY_DEPTH} V3-V5, "
         f"lanes={LANES}, fifo_depth={FIFO_DEPTH}, "
         f"{NUM_BLOCKS} blocks/point, {len(cases)} points",
-        f"  fast engine   : {fast_s:8.4f} s",
-        f"  batched engine: {batched_s:8.4f} s",
-        f"  speedup       : {speedup:8.2f}x (gate: >= {MIN_SPEEDUP}x)",
+        f"  cycle engine: {cycle_s:8.4f} s",
+        f"  fast engine : {fast_s:8.4f} s",
+        f"  speedup     : {speedup:8.2f}x (gate: >= {MIN_SPEEDUP}x)",
     ]
     save_result("batch_engine", "\n".join(lines))
-    record_metric("batch_engine_speedup", speedup)
+    record_metric("batch_engine_speedup_vs_cycle", speedup)
     assert speedup >= MIN_SPEEDUP, (
-        f"batched engine only {speedup:.2f}x faster than the fast engine "
+        f"fast engine only {speedup:.2f}x faster than the cycle engine "
         f"(gate {MIN_SPEEDUP}x) on the long-stream multi-lane sweep"
     )

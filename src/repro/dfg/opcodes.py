@@ -199,9 +199,10 @@ OP_EXPRESSIONS.update({
 
 #: Vectorized (numpy) variants of :data:`OP_EXPRESSIONS`: the same operation
 #: applied element-wise to whole ``int64`` arrays of per-block operand values
-#: (``np`` must be bound in the evaluation namespace).  Used by the batched
-#: engine (:mod:`repro.engine.batchsim`) to evaluate every input block of a
-#: stream in one expression instead of one Python statement per block.  The
+#: (``np`` must be bound in the evaluation namespace).  Used by the fast
+#: engine's value plane (:mod:`repro.engine.batchsim`) to evaluate every
+#: input block of a stream in one expression instead of one Python statement
+#: per block.  The
 #: templates stay exact for operands in the signed 32-bit range: every
 #: intermediate is bounded by ``2**62 + 2**31`` (worst case MULADD of two
 #: wrapped operands), which fits ``int64`` without overflow, and the caller

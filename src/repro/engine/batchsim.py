@@ -1,85 +1,34 @@
-"""Batched, vectorized fast engine: whole-loop codegen + lane-level batching.
+"""The value plane of the fast engine, and the ``batched`` engine spelling.
 
-:class:`~repro.engine.fastsim.FastSimulator` already runs an order of
-magnitude faster than the cycle simulator, but its inner loop is still
-interpreted Python: every tick walks ``_FastFU.tick`` through attribute
-loads, per-slot tuple unpacking and method dispatch, and the functional
-output reconstruction evaluates the DFG one block at a time.  This module
-removes both costs behind a new ``engine="batched"`` backend while keeping
-the results **bit-identical** to the fast engine (and therefore to the cycle
-simulator — the equivalence suite asserts the full chain):
+:class:`~repro.engine.fastsim.FastSimulator` simulates timing without
+values and reconstructs the output stream afterwards.  This module holds the
+fast path of that reconstruction: :class:`VectorBlockEvaluator` evaluates
+the whole input stream at once on a numpy ``int64`` array with a block
+axis, one vectorized expression per DFG node
+(:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`) followed by an exact
+32-bit two's-complement wrap.  Inputs or constants outside the signed 32-bit
+range (where ``int64`` intermediates could overflow) fall back to the scalar
+evaluator, so results are bit-identical in every case.
 
-1. **Whole-loop codegen.**  :func:`generate_loop_source` exec-compiles the
-   *entire* steady-state tick loop of one schedule — FU slot advance, FIFO
-   push/consume, RF write/consume, stall and backpressure checks, completion
-   bookkeeping — into a single specialized Python function.  Per-FU control
-   state lives in local variables, per-slot dispatch is unrolled into
-   straight-line ``if``/``elif`` chains with operands, latencies and FIFO
-   capacities inlined as literals, and structurally impossible branches
-   (stages without loads, slots or write-backs) are simply not emitted.
-   This is the same per-artifact codegen strategy as the exec-compiled
-   :class:`~repro.kernels.reference.BlockEvaluator` plan, extended from
-   output reconstruction to the whole engine, exactly as the roadmap asks.
-   The generated loop is a statement-for-statement transcription of
-   ``_FastFU.tick`` / ``FastSimulator._run_single_lane``; it reuses the
-   fast engine's ``_FastFU``/``_FastChannel`` objects as state containers
-   and synchronizes locals with them only around steady-state detector
-   events, so the (unchanged) occupancy/legacy detectors observe exactly
-   the state the fast engine would have shown them and their fast-forward
-   skips stay exact.
+numpy is an **optional** dependency (the ``[batch]`` extra) and only speeds
+up the value plane: without it :meth:`VectorBlockEvaluator.evaluate` returns
+``None`` and the fast engine uses the scalar evaluator, with identical
+results.  See ``docs/engine.md`` ("Batched execution").
 
-2. **Lane batching.**  Fast-engine timing is *value independent* — a lane's
-   control evolution depends only on how many blocks it receives (see the
-   :mod:`~repro.engine.fastsim` module docstring).  Round-robin dealing
-   gives every lane of a multilane (V2-style) overlay one of at most two
-   distinct block counts, so the batched engine executes one timing run per
-   *distinct lane length* and shares it across all lanes, instead of N
-   sequential single-lane runs.
-
-3. **Vectorized value plane.**  :class:`VectorBlockEvaluator` evaluates the
-   whole input stream at once on a numpy ``int64`` array with a block axis,
-   one vectorized expression per DFG node
-   (:data:`~repro.dfg.opcodes.OP_VECTOR_EXPRESSIONS`) followed by an exact
-   32-bit two's-complement wrap, replacing the per-block scalar plan on the
-   hot path.  Inputs or constants outside the signed 32-bit range (where
-   ``int64`` intermediates could overflow) fall back to the scalar
-   evaluator, so results are bit-identical in every case.
-
-numpy is an **optional** dependency (the ``[batch]`` extra): importing this
-module without it works, and :class:`BatchSimulator` raises a clear
-:class:`~repro.errors.ConfigurationError` telling the user to install the
-extra or use ``engine="fast"``.  The default engine everywhere remains
-unchanged.  See ``docs/engine.md`` ("Batched execution") for the data
-layout and the correctness argument.
+``engine="batched"`` names the same engine: :class:`BatchSimulator` is
+:class:`~repro.engine.fastsim.FastSimulator` under its own class name, and
+:class:`BatchPlan` / :func:`plan_for` hold the per-schedule evaluator.
 """
 
 from __future__ import annotations
 
 import importlib
 import weakref
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..dfg.opcodes import OP_VECTOR_EXPRESSIONS
-from ..errors import ConfigurationError, SimulationError
-from ..schedule.types import OverlaySchedule, SlotKind
-from ..sim.fu import FUStats
-from ..sim.overlay import (
-    SimulationResult,
-    _steady_state_ii,
-    merge_lane_results,
-    split_lane_blocks,
-)
-from .fastsim import (
-    DETECTORS,
-    _FastChannel,
-    _FastFU,
-    _functional_outputs,
-    _LegacyDetector,
-    _OccupancyDetector,
-    default_max_cycles,
-    warmup_bound_blocks,
-)
+from ..schedule.types import OverlaySchedule
+from .fastsim import FastSimulator
 
 
 def _import_numpy() -> Any:
@@ -188,446 +137,16 @@ class VectorBlockEvaluator:
         return rows
 
 
-# ---------------------------------------------------------------------------
-# whole-loop codegen
-# ---------------------------------------------------------------------------
-def generate_loop_source(schedule: OverlaySchedule) -> str:
-    """Source of the specialized steady-state loop for one schedule.
-
-    The generated ``_batch_loop(fus, channels, detector, num_blocks,
-    max_cycles, received, completion)`` function transcribes
-    ``FastSimulator._run_single_lane`` plus ``_FastFU.tick`` statement for
-    statement, with all per-FU/channel control state held in local
-    variables and every schedule-constant (slot operands, latencies, FIFO
-    capacity, load orders) inlined as a literal.  On top of the literal
-    transcription the loop uses three state-equivalent specializations:
-
-    * the register file is a nested ``{block: {value_id: reads_left}}``
-      dict plus an incremental live-entry counter, so operand residency
-      checks hash small ints instead of allocating ``(block, vid)`` tuples
-      (per-block count == ``len(inner)``, global count == the counter —
-      provably equal to the flat layout's bookkeeping at every step);
-    * the exec hazard value ``load_complete.get(exec_block, -1)`` is cached
-      in a local and refreshed only when ``exec_block`` advances or the
-      matching load completes;
-    * per-slot dispatch is a generated binary decision tree on the slot
-      index (O(log slots) int compares) with each slot body fully inlined.
-
-    The ``_FastFU`` / ``_FastChannel`` objects are used purely as state
-    containers: locals are flushed to them (the nested RF re-flattened to
-    the fast engine's exact layout) before every ``detector.observe`` call
-    and reloaded after (the detectors mutate and *rebind* dicts/deques
-    during a skip), and flushed once more before returning so the caller
-    reads final stats and high-water marks off the objects exactly as the
-    fast engine does.
-    """
-    depth = schedule.depth
-    last = depth - 1
-    variant = schedule.variant
-    capacity = schedule.overlay.fifo_depth
-    expected = len(schedule.stage(last).emission_order)
-    overlap = variant.overlap_load_execute
-    lookahead = 1 if overlap else 0
-    alu_depth = variant.alu_pipeline_depth
-    wb_latency = variant.iwp or variant.alu_pipeline_depth
-    exec_gap = variant.exec_block_gap
-    load_gap = variant.load_block_gap
-
-    stage_meta = []
-    for k in range(depth):
-        stage = schedule.stage(k)
-        const_ids = set(schedule.constants_used(k))
-        load_order = list(stage.load_order)
-        slots = [
-            (
-                slot.kind is SlotKind.NOP,
-                tuple(slot.operands),
-                slot.emits,
-                slot.value_id,
-                slot.write_back,
-            )
-            for slot in stage.slots
-        ]
-        read_counts: Dict[int, int] = {}
-        for _nop, operands, _emits, _vid, _wb in slots:
-            for operand in operands:
-                if operand in const_ids:
-                    continue
-                read_counts[operand] = read_counts.get(operand, 0) + 1
-        stage_meta.append((load_order, slots, const_ids, read_counts))
-
-    lines: List[str] = []
-
-    def emit(indent: int, text: str) -> None:
-        lines.append("    " * indent + text)
-
-    def emit_rf_write(indent: int, k: int, block: str, vid: str, reads: Any) -> None:
-        """Inline ``_FastRF.write(block, vid, reads)`` on the nested layout.
-
-        Drops zero-read writes up front like the fast engine.  The nested
-        invariants mirror the flat layout exactly: ``live_k`` equals
-        ``len(flat reads_left)`` (insert bumps it only on a new key) and
-        ``len(inner)`` equals ``block_counts[block]``.
-        """
-        num_constants = len(stage_meta[k][2])
-        if isinstance(reads, int):
-            if reads <= 0:
-                return
-        else:
-            emit(indent, f"if {reads} > 0:")
-            indent += 1
-        emit(indent, f"_rb = rl_{k}.get({block})")
-        emit(indent, "if _rb is None:")
-        emit(indent + 1, f"_rb = rl_{k}[{block}] = {{}}")
-        emit(indent, f"if {vid} not in _rb:")
-        emit(indent + 1, f"live_{k} += 1")
-        emit(indent, f"_rb[{vid}] = {reads}")
-        emit(indent, f"_live = live_{k} + {num_constants}")
-        emit(indent, f"if _live > hw_{k}:")
-        emit(indent + 1, f"hw_{k} = _live")
-        emit(indent, f"_cand = len(_rb) + {num_constants}")
-        emit(indent, f"if _cand > pbhw_{k}:")
-        emit(indent + 1, f"pbhw_{k} = _cand")
-
-    def emit_rf_consume(indent: int, k: int, operand: int) -> None:
-        """Inline ``_FastRF.consume(exec_block, operand)``.
-
-        Only emitted on paths where ``_rb`` is the (resident) inner dict of
-        ``exec_block``, guaranteed by the availability conjunction.
-        """
-        emit(indent, f"_rem = _rb[{operand}] - 1")
-        emit(indent, "if _rem <= 0:")
-        emit(indent + 1, f"del _rb[{operand}]")
-        emit(indent + 1, f"live_{k} -= 1")
-        emit(indent + 1, "if not _rb:")
-        emit(indent + 2, f"del rl_{k}[eb_{k}]")
-        emit(indent, "else:")
-        emit(indent + 1, f"_rb[{operand}] = _rem")
-
-    def emit_advance(indent: int, k: int, slot_pos: int, num_slots: int) -> None:
-        """Inline ``_FastFU._advance_slot`` with the next slot index static."""
-        load_order = stage_meta[k][0]
-        if slot_pos + 1 < num_slots:
-            emit(indent, f"si_{k} = {slot_pos + 1}")
-            emit(indent, f"ne_{k} = cycle + 1")
-        else:
-            if num_slots > 1:
-                emit(indent, f"si_{k} = 0")
-            emit(indent, f"eb_{k} += 1")
-            if load_order:
-                emit(indent, f"lcv_{k} = lc_{k}.get(eb_{k}, -1)")
-            emit(indent, f"ne_{k} = cycle + {1 + exec_gap}")
-            if not overlap:
-                emit(indent, f"bb_{k} = cycle + {1 + exec_gap}")
-
-    def emit_slot_body(indent: int, k: int, slot_pos: int) -> None:
-        load_order, slots, const_ids, _read_counts = stage_meta[k]
-        is_nop, operands, emits, value_id, write_back = slots[slot_pos]
-        num_slots = len(slots)
-        if is_nop:
-            emit(indent, f"s_ni_{k} += 1")
-            emit(indent, f"s_ii_{k} += 1")
-            emit_advance(indent, k, slot_pos, num_slots)
-            return
-
-        needed = []
-        seen: Set[int] = set()
-        for operand in operands:
-            if operand in const_ids or operand in seen:
-                continue
-            seen.add(operand)
-            needed.append(operand)
-
-        def emit_issue(indent: int) -> None:
-            for operand in operands:
-                if operand not in const_ids:
-                    emit_rf_consume(indent, k, operand)
-            emit(indent, f"s_ii_{k} += 1")
-            if emits and value_id is not None:
-                emit(indent, f"po_{k}.append((cycle + {alu_depth}, eb_{k}, {value_id}))")
-            if write_back and value_id is not None:
-                emit(indent, f"pw_{k}.append((cycle + {wb_latency}, eb_{k}, {value_id}))")
-            emit_advance(indent, k, slot_pos, num_slots)
-
-        def emit_backpressure_then_issue(indent: int) -> None:
-            if emits and k < last and capacity > 0:
-                emit(indent, f"_press = len(q_{k}) + len(po_{k})")
-                emit(indent, f"if _press >= {capacity}:")
-                emit(indent + 1, f"wpf_{k} = True")
-                emit(indent + 1, f"s_bs_{k} += 1")
-                emit(indent, "else:")
-                emit(indent + 1, f"if wmp_{k} is None or _press > wmp_{k}:")
-                emit(indent + 2, f"wmp_{k} = _press")
-                emit_issue(indent + 1)
-            else:
-                emit_issue(indent)
-
-        if needed:
-            emit(indent, f"_rb = rl_{k}.get(eb_{k}, _EMPTY)")
-            emit(indent, "if " + " and ".join(f"{o} in _rb" for o in needed) + ":")
-            emit_backpressure_then_issue(indent + 1)
-            emit(indent, "else:")
-            emit(indent + 1, f"s_es_{k} += 1")
-        else:
-            emit_backpressure_then_issue(indent)
-
-    def emit_dispatch(indent: int, k: int, lo: int, hi: int) -> None:
-        """Binary decision tree over the slot index: O(log slots) compares."""
-        if hi - lo == 1:
-            emit_slot_body(indent, k, lo)
-            return
-        mid = (lo + hi) // 2
-        emit(indent, f"if si_{k} < {mid}:")
-        emit_dispatch(indent + 1, k, lo, mid)
-        emit(indent, "else:")
-        emit_dispatch(indent + 1, k, mid, hi)
-
-    def emit_sync_out(indent: int) -> None:
-        for k in range(depth):
-            emit(indent, f"fu_{k}.load_block = lb_{k}; fu_{k}.load_index = li_{k}")
-            emit(indent, f"fu_{k}.next_load_cycle = nl_{k}; fu_{k}.block_load_barrier = bb_{k}")
-            emit(indent, f"fu_{k}.exec_block = eb_{k}; fu_{k}.slot_index = si_{k}")
-            emit(indent, f"fu_{k}.next_exec_cycle = ne_{k}")
-            emit(indent, f"fu_{k}.loads_issued = s_li_{k}; fu_{k}.instructions_issued = s_ii_{k}")
-            emit(indent, f"fu_{k}.nops_issued = s_ni_{k}; fu_{k}.exec_stall_cycles = s_es_{k}")
-            emit(indent, f"fu_{k}.load_stall_cycles = s_ls_{k}")
-            emit(indent, f"fu_{k}.backpressure_stall_cycles = s_bs_{k}")
-            # Re-flatten the nested RF into the fast engine's exact layout
-            # (iteration order is irrelevant: every consumer sorts or keys).
-            emit(
-                indent,
-                f"rf_{k}.reads_left = {{(_b, _v): _n for _b, _d in rl_{k}.items()"
-                " for _v, _n in _d.items()}",
-            )
-            emit(indent, f"rf_{k}.block_counts = {{_b: len(_d) for _b, _d in rl_{k}.items()}}")
-            emit(indent, f"rf_{k}.high_water = hw_{k}; rf_{k}.per_block_high_water = pbhw_{k}")
-        for j in range(depth - 1):
-            emit(indent, f"ch_{j}.high_water = chw_{j}; ch_{j}.win_min_empty = wme_{j}")
-            emit(indent, f"ch_{j}.win_max_press = wmp_{j}; ch_{j}.win_press_full = wpf_{j}")
-            emit(indent, f"ch_{j}.win_push_max = wpm_{j}")
-
-    def emit_sync_in(indent: int) -> None:
-        # Detector skips *rebind* load_complete / pending queues / RF dicts /
-        # channel deques, so the collection locals must be reloaded (and the
-        # RF re-nested) — not just the scalars.
-        for k in range(depth):
-            load_order, slots, _const_ids, _read_counts = stage_meta[k]
-            emit(indent, f"lb_{k} = fu_{k}.load_block; li_{k} = fu_{k}.load_index")
-            emit(indent, f"nl_{k} = fu_{k}.next_load_cycle; bb_{k} = fu_{k}.block_load_barrier")
-            emit(indent, f"eb_{k} = fu_{k}.exec_block; si_{k} = fu_{k}.slot_index")
-            emit(indent, f"ne_{k} = fu_{k}.next_exec_cycle")
-            emit(indent, f"s_li_{k} = fu_{k}.loads_issued; s_ii_{k} = fu_{k}.instructions_issued")
-            emit(indent, f"s_ni_{k} = fu_{k}.nops_issued; s_es_{k} = fu_{k}.exec_stall_cycles")
-            emit(indent, f"s_ls_{k} = fu_{k}.load_stall_cycles")
-            emit(indent, f"s_bs_{k} = fu_{k}.backpressure_stall_cycles")
-            emit(indent, f"lc_{k} = fu_{k}.load_complete")
-            emit(indent, f"po_{k} = fu_{k}.pending_out; pw_{k} = fu_{k}.pending_wb")
-            emit(indent, f"rl_{k} = {{}}")
-            emit(indent, f"for _key, _n in rf_{k}.reads_left.items():")
-            emit(indent + 1, f"_rb = rl_{k}.get(_key[0])")
-            emit(indent + 1, "if _rb is None:")
-            emit(indent + 2, f"_rb = rl_{k}[_key[0]] = {{}}")
-            emit(indent + 1, "_rb[_key[1]] = _n")
-            emit(indent, f"live_{k} = len(rf_{k}.reads_left)")
-            emit(indent, f"hw_{k} = rf_{k}.high_water; pbhw_{k} = rf_{k}.per_block_high_water")
-            if load_order and slots:
-                emit(indent, f"lcv_{k} = lc_{k}.get(eb_{k}, -1)")
-        for j in range(depth - 1):
-            emit(indent, f"q_{j} = ch_{j}.queue; chw_{j} = ch_{j}.high_water")
-            emit(indent, f"wme_{j} = ch_{j}.win_min_empty; wmp_{j} = ch_{j}.win_max_press")
-            emit(indent, f"wpf_{j} = ch_{j}.win_press_full; wpm_{j} = ch_{j}.win_push_max")
-
-    emit(0, "def _batch_loop(fus, channels, detector, num_blocks, max_cycles,")
-    emit(0, "                received, completion):")
-    for k in range(depth):
-        load_order, slots, _const_ids, read_counts = stage_meta[k]
-        emit(1, f"fu_{k} = fus[{k}]")
-        emit(1, f"rf_{k} = fu_{k}.rf")
-        if any(wb and vid is not None for _n, _o, _e, vid, wb in slots):
-            emit(1, f"rc_{k} = fu_{k}.read_counts")
-        if len(load_order) > 1:
-            emit(1, f"LO_{k} = {tuple(load_order)!r}")
-            emit(1, f"RC_{k} = {tuple(read_counts.get(v, 0) for v in load_order)!r}")
-    for j in range(depth - 1):
-        emit(1, f"ch_{j} = channels[{j}]")
-    emit_sync_in(1)
-    emit(1, "cycle = 0")
-    emit(1, "completed = 0")
-    emit(1, "while completed < num_blocks:")
-    emit(2, "if cycle > max_cycles:")
-    deadlock_prefix = (
-        f"simulation of {schedule.kernel_name!r} on {schedule.overlay.name} exceeded "
-    )
-    emit(3, f"raise SimulationError({deadlock_prefix!r}")
-    emit(3, '                      + "%d cycles; likely a schedule/codegen deadlock"')
-    emit(3, "                      % max_cycles)")
-    emit(2, "_completions = 0")
-
-    # --- delivery phase: drain every FU's matured pending_out tokens -----
-    for k in range(depth):
-        _load_order, slots, _const_ids, _read_counts = stage_meta[k]
-        if not any(em and vid is not None for _n, _o, em, vid, _wb in slots):
-            continue  # this stage never emits; its pending_out stays empty
-        emit(2, f"while po_{k} and po_{k}[0][0] <= cycle:")
-        emit(3, f"_tok = po_{k}.popleft()")
-        if k < last:
-            if capacity > 0:
-                overflow = (
-                    f"FIFO 'ch{k + 1}' overflow (capacity {capacity}); "
-                    "the producer should have been back-pressured"
-                )
-                emit(3, f"if len(q_{k}) >= {capacity}:")
-                emit(4, f"raise SimulationError({overflow!r})")
-            emit(3, f"q_{k}.append((_tok[1], _tok[2]))")
-            emit(3, f"_occ = len(q_{k})")
-            emit(3, f"if _occ > chw_{k}:")
-            emit(4, f"chw_{k} = _occ")
-            emit(3, f"if _occ > wpm_{k}:")
-            emit(4, f"wpm_{k} = _occ")
-        else:
-            emit(3, "_blk = _tok[1]")
-            emit(3, "_bucket = received.get(_blk)")
-            emit(3, "if _bucket is None:")
-            emit(4, "_bucket = received[_blk] = set()")
-            emit(3, "_bucket.add(_tok[2])")
-            emit(3, f"if len(_bucket) >= {expected} and completion[_blk] is None:")
-            emit(4, "completion[_blk] = cycle")
-            emit(4, "completed += 1")
-            emit(4, "_completions += 1")
-            emit(4, "del received[_blk]")
-
-    # --- tick phase: every FU in stage order -----------------------------
-    for k in range(depth):
-        load_order, slots, _const_ids, read_counts = stage_meta[k]
-        has_loads = bool(load_order)
-        has_slots = bool(slots)
-        wb_any = any(wb and vid is not None for _n, _o, _e, vid, wb in slots)
-
-        if wb_any:
-            emit(2, f"while pw_{k} and pw_{k}[0][0] <= cycle:")
-            emit(3, f"_tok = pw_{k}.popleft()")
-            emit(3, "_vid = _tok[2]")
-            emit(3, f"_n = rc_{k}.get(_vid, 0)")
-            emit_rf_write(3, k, "_tok[1]", "_vid", "_n")
-
-        exec_gate = has_slots and has_loads and not overlap
-        if exec_gate:
-            emit(2, "_lup = False")
-
-        if has_loads:
-            condition = [f"lb_{k} < num_blocks", f"cycle >= nl_{k}"]
-            if has_slots and not overlap:
-                condition.append(f"cycle >= bb_{k}")
-            if has_slots:
-                condition.append(f"lb_{k} <= eb_{k} + {lookahead}")
-            emit(2, "if " + " and ".join(condition) + ":")
-            if len(load_order) > 1:
-                vid_expr = f"LO_{k}[li_{k}]"
-                reads_expr: Any = f"RC_{k}[li_{k}]"
-            else:
-                vid_expr = str(load_order[0])
-                reads_expr = read_counts.get(load_order[0], 0)
-            if k == 0:
-                body = 3  # virtual DMA source: the next token always matches
-            else:
-                j = k - 1
-                emit(3, f"_occ = len(q_{j})")
-                emit(3, f"if wme_{j} is None or _occ < wme_{j}:")
-                emit(4, f"wme_{j} = _occ")
-                emit(3, "if _occ == 0:")
-                emit(4, f"s_ls_{k} += 1")
-                emit(3, "else:")
-                body = 4
-                emit(body, f"_tok = q_{j}[0]")
-                emit(body, f"if _tok[0] != lb_{k} or _tok[1] != {vid_expr}:")
-                mismatch = (
-                    f'"FU{k}: expected value N%d of block %d on the input FIFO, '
-                    'found N%d of block %d"'
-                )
-                emit(body + 1, f"raise SimulationError({mismatch}")
-                emit(body + 1, f"                      % ({vid_expr}, lb_{k}, _tok[1], _tok[0]))")
-                emit(body, f"q_{j}.popleft()")
-            emit_rf_write(body, k, f"lb_{k}", vid_expr, reads_expr)
-            emit(body, f"s_li_{k} += 1")
-            if len(load_order) > 1:
-                emit(body, f"li_{k} += 1")
-                emit(body, f"nl_{k} = cycle + 1")
-                emit(body, f"if li_{k} >= {len(load_order)}:")
-                emit(body + 1, f"lc_{k}[lb_{k}] = cycle")
-                if has_slots:
-                    emit(body + 1, f"if lb_{k} == eb_{k}:")
-                    emit(body + 2, f"lcv_{k} = cycle")
-                emit(body + 1, f"li_{k} = 0")
-                emit(body + 1, f"lb_{k} += 1")
-                emit(body + 1, f"nl_{k} = cycle + {1 + load_gap}")
-            else:
-                emit(body, f"lc_{k}[lb_{k}] = cycle")
-                if has_slots:
-                    emit(body, f"if lb_{k} == eb_{k}:")
-                    emit(body + 1, f"lcv_{k} = cycle")
-                emit(body, f"lb_{k} += 1")
-                emit(body, f"nl_{k} = cycle + {1 + load_gap}")
-            if exec_gate:
-                emit(body, "_lup = True")
-
-        if has_slots:
-            condition = []
-            if exec_gate:
-                condition.append("not _lup")
-            condition += [f"eb_{k} < num_blocks", f"cycle >= ne_{k}"]
-            emit(2, "if " + " and ".join(condition) + ":")
-            if has_loads:
-                emit(3, f"if lb_{k} <= eb_{k} or cycle <= lcv_{k}:")
-                emit(4, f"s_es_{k} += 1")
-                emit(3, "else:")
-                dispatch = 4
-            else:
-                dispatch = 3
-            emit_dispatch(dispatch, k, 0, len(slots))
-
-    emit(2, "cycle += 1")
-    emit(2, "if _completions and detector is not None and completed < num_blocks:")
-    emit_sync_out(3)
-    emit(3, "_skip = detector.observe(cycle, completed, received, completion)")
-    emit(3, "if _skip is not None:")
-    emit(4, "cycle = _skip[0]")
-    emit(4, "completed = _skip[1]")
-    emit(3, "if detector.done:")
-    emit(4, "detector = None")
-    emit_sync_in(3)
-    emit_sync_out(1)
-    emit(1, "return cycle, completed")
-    return "\n".join(lines) + "\n"
-
-
 class BatchPlan:
-    """Compiled per-schedule artifacts of the batched engine.
+    """Per-schedule value-plane artifact: the vectorized output evaluator.
 
-    Holds the exec-compiled steady-state loop (see
-    :func:`generate_loop_source`) and the vectorized value-plane evaluator.
-    Plans contain generated functions and are deliberately *not* pickled
-    with disk cache entries — :class:`~repro.engine.cache.CompiledKernel`
-    drops its ``batch_plan`` on serialization and the plan is rebuilt on
-    first batched use after a disk load.
+    Built lazily on the first simulate of a schedule (never at compile
+    time) and memoised per schedule object by :func:`plan_for`.
     """
 
-    __slots__ = ("loop_source", "loop", "vector_evaluator")
+    __slots__ = ("vector_evaluator",)
 
     def __init__(self, schedule: OverlaySchedule):
-        self.loop_source = generate_loop_source(schedule)
-        # _EMPTY is a shared read-only fallback for absent RF blocks; the
-        # generated code only consumes operands after membership passed, so
-        # it is never mutated.
-        namespace: Dict[str, Any] = {"SimulationError": SimulationError, "_EMPTY": {}}
-        exec(  # noqa: S102 - generated from the schedule, no external input
-            compile(
-                self.loop_source,
-                f"<batchloop:{schedule.kernel_name}/{schedule.overlay.name}>",
-                "exec",
-            ),
-            namespace,
-        )
-        self.loop = namespace["_batch_loop"]
         self.vector_evaluator = VectorBlockEvaluator(schedule.dfg)
 
 
@@ -655,219 +174,9 @@ def plan_for(schedule: OverlaySchedule) -> BatchPlan:
 
 
 # ---------------------------------------------------------------------------
-# simulator front
+# engine spelling
 # ---------------------------------------------------------------------------
-@dataclass
-class _LaneTiming:
-    """Value-free timing profile of one lane-length run (shareable: fast
-    engine timing depends only on the block count, never the values)."""
+class BatchSimulator(FastSimulator):
+    """``engine="batched"``: the fast engine under the historical name."""
 
-    total_cycles: int
-    completion_cycles: List[int]
-    fu_stats: List[FUStats]
-    fifo_high_water: List[int]
-    rf_high_water: List[int]
-    rf_per_block_high_water: List[int]
-
-
-class BatchSimulator:
-    """Batched drop-in engine with the same interface as ``FastSimulator``.
-
-    Requires numpy (the ``[batch]`` optional extra) and raises
-    :class:`~repro.errors.ConfigurationError` without it; every result is
-    bit-identical to the fast engine's (asserted library-wide by
-    ``tests/test_engine_batchsim.py``).  ``plan`` injects a prebuilt
-    :class:`BatchPlan` (the schedule cache attaches one per compiled
-    artifact); by default plans are memoised per schedule object.
-    """
-
-    def __init__(
-        self,
-        schedule: OverlaySchedule,
-        max_cycles: Optional[int] = None,
-        enforce_rf_capacity: bool = True,
-        fast_forward: bool = True,
-        detector: str = "occupancy",
-        plan: Optional[BatchPlan] = None,
-    ):
-        if np is None:
-            raise ConfigurationError(
-                "the batched engine needs numpy, which is not installed; "
-                "install the '[batch]' extra (pip install 'repro-overlay[batch]') "
-                "or use engine='fast'"
-            )
-        if detector not in DETECTORS:
-            raise ConfigurationError(
-                f"unknown steady-state detector {detector!r}; "
-                f"available: {', '.join(DETECTORS)}"
-            )
-        self.schedule = schedule
-        self.max_cycles = max_cycles
-        self.enforce_rf_capacity = enforce_rf_capacity
-        self.fast_forward = fast_forward
-        self.detector = detector
-        self.fast_forward_events: List[dict] = []
-        self.plan = plan if plan is not None else plan_for(schedule)
-
-    # ------------------------------------------------------------------
-    def run(self, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:
-        self.fast_forward_events = []
-        blocks = [list(block) for block in input_blocks]
-        if not blocks:
-            raise SimulationError("at least one input block is required")
-        width = self.schedule.dfg.num_inputs
-        for index, block in enumerate(blocks):
-            if len(block) != width:
-                raise SimulationError(
-                    f"input block {index} has {len(block)} values, kernel "
-                    f"{self.schedule.kernel_name!r} expects {width}"
-                )
-        if self.schedule.variant.lanes > 1:
-            return self._run_multilane(blocks)
-        timing = self._run_timing(len(blocks))
-        return self._assemble(timing, len(blocks), self._outputs(blocks))
-
-    # ------------------------------------------------------------------
-    def _run_multilane(self, blocks: List[List[int]]) -> SimulationResult:
-        lanes = self.schedule.variant.lanes
-        lane_blocks = split_lane_blocks(blocks, lanes)
-        # Round-robin dealing leaves at most two distinct lane lengths, and
-        # timing is value-independent, so one timing run per length serves
-        # every lane (exactly what N sequential fast-engine runs would get).
-        timings: Dict[int, _LaneTiming] = {}
-        for lane_stream in lane_blocks:
-            count = len(lane_stream)
-            if count and count not in timings:
-                timings[count] = self._run_timing(count)
-        outputs = self._outputs(blocks)
-        lane_results: List[Optional[SimulationResult]] = []
-        for lane in range(lanes):
-            count = len(lane_blocks[lane])
-            if count:
-                lane_results.append(
-                    self._assemble(timings[count], count, outputs[lane::lanes])
-                )
-            else:
-                lane_results.append(None)
-        return merge_lane_results(self.schedule, blocks, lane_results)
-
-    # ------------------------------------------------------------------
-    def _outputs(self, blocks: List[List[int]]) -> List[List[int]]:
-        rows = self.plan.vector_evaluator.evaluate(blocks)
-        if rows is None:
-            rows = _functional_outputs(self.schedule.dfg, blocks)
-        return rows
-
-    # ------------------------------------------------------------------
-    def _run_timing(self, num_blocks: int) -> _LaneTiming:
-        schedule = self.schedule
-        depth = schedule.depth
-        last = depth - 1
-        stage0_loads = len(schedule.stage(0).load_order)
-        expected_per_block = len(schedule.stage(last).emission_order)
-        if expected_per_block == 0:
-            raise SimulationError("the final stage emits nothing; schedule is broken")
-
-        channels = [
-            _FastChannel(name=f"ch{k}", capacity=schedule.overlay.fifo_depth)
-            for k in range(1, depth)
-        ]
-        fus: List[_FastFU] = []
-        for k in range(depth):
-            fus.append(
-                _FastFU(
-                    schedule,
-                    k,
-                    num_blocks,
-                    in_channel=channels[k - 1] if k > 0 else None,
-                    out_channel=channels[k] if k < last else None,
-                )
-            )
-        # The fast engine pins these pointers on the first tick; pinning them
-        # up front is equivalent (nothing reads them during cycle 0) and lets
-        # the generated loop omit the branches entirely.
-        for fu in fus:
-            if not fu.load_order:
-                fu.load_block = num_blocks
-            if not fu.slots:
-                fu.exec_block = num_blocks
-
-        completion: List[Optional[int]] = [None] * num_blocks
-        received: Dict[int, Set[int]] = {}
-        max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
-
-        detector = None
-        if self.fast_forward:
-            if self.detector == "legacy":
-                detector = _LegacyDetector(
-                    fus, channels, num_blocks, self.fast_forward_events
-                )
-            else:
-                detector = _OccupancyDetector(
-                    fus,
-                    channels,
-                    num_blocks,
-                    max_events=warmup_bound_blocks(schedule) + 64,
-                    log=self.fast_forward_events,
-                )
-
-        total_cycles, _completed = self.plan.loop(
-            fus, channels, detector, num_blocks, max_cycles, received, completion
-        )
-        if self.enforce_rf_capacity:
-            for fu in fus:
-                fu.rf.check_capacity()
-        completion_cycles = [int(c) for c in completion]  # type: ignore[arg-type]
-        return _LaneTiming(
-            total_cycles=total_cycles,
-            completion_cycles=completion_cycles,
-            fu_stats=[fu.stats() for fu in fus],
-            fifo_high_water=(
-                [num_blocks * stage0_loads]
-                + [channel.high_water for channel in channels]
-                + [num_blocks * expected_per_block]
-            ),
-            rf_high_water=[fu.rf.high_water for fu in fus],
-            rf_per_block_high_water=[fu.rf.per_block_high_water for fu in fus],
-        )
-
-    # ------------------------------------------------------------------
-    def _assemble(
-        self, timing: _LaneTiming, num_blocks: int, outputs: List[List[int]]
-    ) -> SimulationResult:
-        return SimulationResult(
-            kernel_name=self.schedule.kernel_name,
-            overlay_name=self.schedule.overlay.name,
-            num_blocks=num_blocks,
-            outputs=outputs,
-            completion_cycles=timing.completion_cycles,
-            total_cycles=timing.total_cycles,
-            measured_ii=_steady_state_ii(timing.completion_cycles),
-            latency_cycles=timing.completion_cycles[0] + 1,
-            fu_stats=timing.fu_stats,
-            fifo_high_water=timing.fifo_high_water,
-            rf_high_water=timing.rf_high_water,
-            rf_per_block_high_water=timing.rf_per_block_high_water,
-            trace=None,
-        )
-
-
-def simulate_batched(
-    schedule: OverlaySchedule,
-    input_blocks: Sequence[Sequence[int]],
-    max_cycles: Optional[int] = None,
-    enforce_rf_capacity: bool = True,
-    fast_forward: bool = True,
-    detector: str = "occupancy",
-    plan: Optional[BatchPlan] = None,
-) -> SimulationResult:
-    """Run the batched engine on a stream of input blocks."""
-    simulator = BatchSimulator(
-        schedule,
-        max_cycles=max_cycles,
-        enforce_rf_capacity=enforce_rf_capacity,
-        fast_forward=fast_forward,
-        detector=detector,
-        plan=plan,
-    )
-    return simulator.run(input_blocks)
+    run = FastSimulator.run

@@ -135,19 +135,6 @@ class CompiledKernel:
     #: computed once at compile time so sweeps and runtimes can cap the
     #: fast engine's fingerprint table without re-deriving it per run.
     warmup_bound_cycles: int = 0
-    #: Batched-engine compile artifact (:class:`repro.engine.batchsim.
-    #: BatchPlan`): the exec-compiled steady-state loop plus the vectorized
-    #: output evaluator, built lazily on first batched use via
-    #: :meth:`ScheduleCache.get_batch_plan` and cached here so every run of
-    #: the same artifact shares one codegen.  Holds generated function
-    #: objects, so it is dropped on pickling (see ``__getstate__``) and
-    #: rebuilt after a disk load.
-    batch_plan: Optional[object] = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["batch_plan"] = None  # generated code never hits the disk layer
-        return state
 
 
 @dataclass
@@ -412,25 +399,18 @@ class ScheduleCache:
             return cached
 
     def get_batch_plan(self, key: CacheKey):
-        """The batched-engine compile artifact for a cached entry, or None.
+        """The value-plane plan of a cached entry's schedule, or None.
 
-        Builds the :class:`repro.engine.batchsim.BatchPlan` lazily on first
-        request and attaches it to the entry, so repeated batched runs of
-        one artifact share a single loop codegen (disk-loaded entries arrive
-        with ``batch_plan=None`` and rebuild here once).  Returns ``None``
-        when the key has no in-memory entry.  Plan building is pure Python
-        (the loop codegen never touches numpy), so this works even without
-        the optional dependency; the simulator itself is what raises
-        ``ConfigurationError`` when numpy is missing.
+        Returns the :class:`repro.engine.batchsim.BatchPlan` that the fast
+        engine memoises per schedule (building it if this is its first
+        use), or ``None`` when the key has no in-memory entry.
         """
         entry = self.peek(key)
         if entry is None:
             return None
-        if entry.batch_plan is None:
-            from .batchsim import plan_for
+        from .batchsim import plan_for
 
-            entry.batch_plan = plan_for(entry.schedule)
-        return entry.batch_plan
+        return plan_for(entry.schedule)
 
     def _get_or_compile_keyed(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
@@ -519,7 +499,8 @@ class ScheduleCache:
         try:
             with open(path, "rb") as handle:
                 compiled = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+            # ImportError: a stale entry naming a module that has moved.
             return None
         if not isinstance(compiled, CompiledKernel):
             return None

@@ -24,25 +24,26 @@ measurements an order of magnitude faster, exploiting two observations:
    completion cycles all match the cycle simulator exactly (see
    ``docs/engine.md`` for the correctness argument).
 
-Two steady-state detectors exist (the ``detector`` knob):
+The steady-state detector canonicalises each FU's state relative to its
+*own* oldest in-flight block and each channel's content by its occupancy
+alone.  That fingerprint recurs as soon as every stage is *locally*
+periodic — long before the FIFO-fill transient of a deep kernel on a
+fixed-depth overlay (V3-V5) ends — and the bounded-FIFO occupancy argument
+(see ``docs/engine.md``) makes the skip exact even while occupancies are
+still ramping: the engine tracks, per channel and per detection window, the
+minimum occupancy at consumer emptiness checks and the maximum pressure at
+producer backpressure checks, and only jumps as many periods as keep every
+threshold outcome unchanged.  The analytic warm-up bound
+:func:`steady_state_warmup_bound` caps the fingerprint table and serves as a
+cross-check oracle in the test suite.
 
-* ``"legacy"`` fingerprints the *whole machine* relative to the global
-  completed-block count, so it only fires once every inter-stage FIFO has
-  reached its final occupancy.  On fixed-depth overlays (V3-V5) deep kernels
-  keep filling the FIFOs for O(fifo_depth x depth) blocks before that
-  happens, which is exactly where the big sweeps need the speedup.
-* ``"occupancy"`` (the default) canonicalises each FU's state relative to
-  its *own* oldest in-flight block and each channel's content by its
-  occupancy alone.  That fingerprint recurs as soon as every stage is
-  *locally* periodic — long before the FIFO-fill transient ends — and the
-  bounded-FIFO occupancy argument (see ``docs/engine.md``) makes the skip
-  exact even while occupancies are still ramping: the engine tracks, per
-  channel and per detection window, the minimum occupancy at consumer
-  emptiness checks and the maximum pressure at producer backpressure
-  checks, and only jumps as many periods as keep every threshold outcome
-  unchanged.  The analytic warm-up bound
-  :func:`steady_state_warmup_bound` caps the fingerprint table and serves
-  as a cross-check oracle in the test suite.
+Because timing never looks at values, a multi-lane (V2-style) run executes
+one timing run per *distinct lane length* — round-robin dealing leaves at
+most two — and shares it across the lanes of that length, and the output
+stream comes from one value-plane pass over the whole input stream: the
+vectorized :class:`~repro.engine.batchsim.VectorBlockEvaluator` when numpy
+imports and every value fits in signed 32 bits, the scalar
+:class:`~repro.kernels.reference.BlockEvaluator` otherwise.
 
 Events that need sub-cycle ordering (ALU results whose pipeline latency
 elapsed, internal write-backs reaching the register file) are kept in
@@ -54,9 +55,10 @@ upstream-to-downstream cycle-synchronous order.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..kernels.reference import BlockEvaluator
 from ..schedule.types import OverlaySchedule, SlotKind
 from ..sim.alu import _wrap
@@ -225,9 +227,6 @@ class _FastChannel:
             self.high_water = occupancy
         if occupancy > self.win_push_max:
             self.win_push_max = occupancy
-
-    def shift(self, delta_blocks: int) -> None:
-        self.queue = deque((block + delta_blocks, vid) for block, vid in self.queue)
 
 
 class _FastFU:
@@ -550,7 +549,7 @@ class _FastFU:
 # shared engine limits
 # ---------------------------------------------------------------------------
 def default_max_cycles(schedule: OverlaySchedule, num_blocks: int) -> int:
-    """Deadlock guard shared by the fast and batched engines.
+    """Deadlock guard of the fast engine.
 
     Generous bound on a healthy run: every block can spend a full issue
     window per stage plus pipeline slack before the run is declared wedged.
@@ -581,11 +580,11 @@ def warmup_bound_blocks(schedule: OverlaySchedule) -> int:
 def steady_state_warmup_bound(schedule: OverlaySchedule) -> int:
     """Analytic warm-up upper bound ``W(depth, fifo_depth, II)`` in cycles.
 
-    Both steady-state detectors must have locked onto the periodic regime
+    The steady-state detector must have locked onto the periodic regime
     within this many cycles of a sufficiently long single-lane run (the
     multilane wrapper applies it per lane).  The bound is deliberately
     generous — it is a safety cap on fingerprint-table growth and a
-    cross-check oracle for the detectors, not a performance model.
+    cross-check oracle for the detector, not a performance model.
     """
     from ..schedule.ii import per_stage_ii
 
@@ -596,11 +595,8 @@ def steady_state_warmup_bound(schedule: OverlaySchedule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# steady-state detectors
+# steady-state detector
 # ---------------------------------------------------------------------------
-#: Valid values of the ``detector`` knob.
-DETECTORS = ("occupancy", "legacy")
-
 _INF = 10 ** 18
 
 
@@ -611,57 +607,8 @@ def _received_fingerprint(received: Dict[int, Set[int]], completed: int) -> tupl
     )
 
 
-class _LegacyDetector:
-    """PR-1 detector: whole-machine fingerprint relative to the completed
-    count, so it only fires once every FIFO occupancy has reached its final
-    value.  Kept verbatim for A/B comparison (``detector="legacy"``)."""
-
-    def __init__(self, fus: List[_FastFU], channels: List[_FastChannel],
-                 num_blocks: int, log: List[dict]):
-        self.fus = fus
-        self.channels = channels
-        self.num_blocks = num_blocks
-        self.log = log
-        self.seen: Dict[tuple, Tuple[int, int, List[Tuple[int, ...]]]] = {}
-        self.done = False
-
-    def observe(self, cycle: int, completed: int, received: Dict[int, Set[int]],
-                completion: List[Optional[int]]) -> Optional[Tuple[int, int]]:
-        fingerprint = FastSimulator._fingerprint(
-            self.fus, self.channels, received, cycle, completed
-        )
-        match = self.seen.get(fingerprint)
-        if match is None:
-            self.seen[fingerprint] = (
-                cycle,
-                completed,
-                [fu.stats_snapshot() for fu in self.fus],
-            )
-            return None
-        skipped_to = FastSimulator._apply_fast_forward(
-            match, self.fus, self.channels, received, completion,
-            cycle, completed, self.num_blocks,
-        )
-        # One skip captures the asymptotic win; further detection would only
-        # re-find the same period.
-        self.done = True
-        if skipped_to is not None:
-            period = cycle - match[0]
-            blocks = completed - match[1]
-            self.log.append({
-                "detector": "legacy",
-                "kind": "steady",
-                "cycle": cycle,
-                "completed": completed,
-                "period": period,
-                "blocks": blocks,
-                "periods": (skipped_to[0] - cycle) // period if period else 0,
-            })
-        return skipped_to
-
-
 class _OccupancyDetector:
-    """Occupancy-based early steady-state detector (the default).
+    """Occupancy-based early steady-state detector.
 
     Fingerprints each FU relative to its *own* oldest in-flight block and
     drops channel contents from the fingerprint entirely (a channel's
@@ -697,7 +644,6 @@ class _OccupancyDetector:
         #: per-FU stats snapshots, per-channel occupancies, per-channel
         #: threshold-check aggregates since the previous event).
         self.events: List[tuple] = []
-        self.done = False
 
     def observe(self, cycle: int, completed: int, received: Dict[int, Set[int]],
                 completion: List[Optional[int]]) -> Optional[Tuple[int, int]]:
@@ -886,7 +832,6 @@ class _OccupancyDetector:
             for t, done in enumerate(window_completions):
                 completion[base + t] = done + offset  # type: ignore[operator]
         self.log.append({
-            "detector": "occupancy",
             "kind": "ramp" if ramp else "steady",
             "cycle": cycle,
             "completed": completed,
@@ -900,13 +845,10 @@ class _OccupancyDetector:
 class FastSimulator:
     """Drop-in fast engine with the same interface as ``OverlaySimulator``.
 
-    ``detector`` selects the steady-state detector: ``"occupancy"`` (the
-    default — locks on fixed-depth overlays long before the FIFO-fill
-    transient ends) or ``"legacy"`` (the PR-1 whole-machine fingerprint,
-    kept for A/B comparison).  ``fast_forward=False`` disables the
-    steady-state skip entirely (the engine then runs every cycle, still
-    value-free); it exists for differential testing of the fast-forward
-    itself.  Every applied skip is appended to ``fast_forward_events``.
+    ``fast_forward=False`` disables the steady-state skip entirely (the
+    engine then runs every cycle, still value-free); it exists for
+    differential testing of the fast-forward itself.  Every applied skip is
+    appended to ``fast_forward_events``.
     """
 
     def __init__(
@@ -915,18 +857,11 @@ class FastSimulator:
         max_cycles: Optional[int] = None,
         enforce_rf_capacity: bool = True,
         fast_forward: bool = True,
-        detector: str = "occupancy",
     ):
-        if detector not in DETECTORS:
-            raise ConfigurationError(
-                f"unknown steady-state detector {detector!r}; "
-                f"available: {', '.join(DETECTORS)}"
-            )
         self.schedule = schedule
         self.max_cycles = max_cycles
         self.enforce_rf_capacity = enforce_rf_capacity
         self.fast_forward = fast_forward
-        self.detector = detector
         self.fast_forward_events: List[dict] = []
 
     # ------------------------------------------------------------------
@@ -942,26 +877,32 @@ class FastSimulator:
                     f"input block {index} has {len(block)} values, kernel "
                     f"{self.schedule.kernel_name!r} expects {width}"
                 )
-        if self.schedule.variant.lanes > 1:
-            return self._run_multilane(blocks)
-        return self._run_single_lane(blocks)
-
-    # ------------------------------------------------------------------
-    def _run_multilane(self, blocks: List[List[int]]) -> SimulationResult:
         lanes = self.schedule.variant.lanes
-        lane_blocks = split_lane_blocks(blocks, lanes)
+        if lanes == 1:
+            result = self._run_single_lane(len(blocks))
+            result.outputs = _stream_outputs(self.schedule, blocks)
+            return result
+        # Round-robin dealing leaves at most two distinct lane lengths, and
+        # timing is value-independent, so one timing run per length serves
+        # every lane of that length.
+        lane_outputs = split_lane_blocks(_stream_outputs(self.schedule, blocks), lanes)
+        timings: Dict[int, SimulationResult] = {}
         lane_results: List[Optional[SimulationResult]] = []
-        for lane in range(lanes):
-            if lane_blocks[lane]:
-                lane_results.append(self._run_single_lane(lane_blocks[lane]))
-            else:
-                lane_results.append(None)
+        for outputs in lane_outputs:
+            count = len(outputs)
+            if count and count not in timings:
+                timings[count] = self._run_single_lane(count)
+            lane_results.append(replace(timings[count], outputs=outputs) if count else None)
         return merge_lane_results(self.schedule, blocks, lane_results)
 
     # ------------------------------------------------------------------
-    def _run_single_lane(self, blocks: List[List[int]]) -> SimulationResult:
+    def _run_single_lane(self, num_blocks: int) -> SimulationResult:
+        """Value-free timing of one lane fed ``num_blocks`` blocks.
+
+        The returned result carries every measurement except ``outputs``,
+        which is left empty for the caller's value plane to fill.
+        """
         schedule = self.schedule
-        num_blocks = len(blocks)
         depth = schedule.depth
         last = depth - 1
 
@@ -990,22 +931,17 @@ class FastSimulator:
         received: Dict[int, Set[int]] = {}
         completed = 0
         cycle = 0
-        max_cycles = self.max_cycles or self._default_max_cycles(num_blocks)
+        max_cycles = self.max_cycles or default_max_cycles(schedule, num_blocks)
 
         detector = None
         if self.fast_forward:
-            if self.detector == "legacy":
-                detector = _LegacyDetector(
-                    fus, channels, num_blocks, self.fast_forward_events
-                )
-            else:
-                detector = _OccupancyDetector(
-                    fus,
-                    channels,
-                    num_blocks,
-                    max_events=warmup_bound_blocks(schedule) + 64,
-                    log=self.fast_forward_events,
-                )
+            detector = _OccupancyDetector(
+                fus,
+                channels,
+                num_blocks,
+                max_events=warmup_bound_blocks(schedule) + 64,
+                log=self.fast_forward_events,
+            )
 
         while completed < num_blocks:
             if cycle > max_cycles:
@@ -1042,11 +978,7 @@ class FastSimulator:
                 skipped_to = detector.observe(cycle, completed, received, completion)
                 if skipped_to is not None:
                     cycle, completed = skipped_to
-                if detector.done:
-                    detector = None
 
-        total_cycles = cycle
-        outputs = _functional_outputs(schedule.dfg, blocks)
         if self.enforce_rf_capacity:
             for fu in fus:
                 fu.rf.check_capacity()
@@ -1056,9 +988,9 @@ class FastSimulator:
             kernel_name=schedule.kernel_name,
             overlay_name=schedule.overlay.name,
             num_blocks=num_blocks,
-            outputs=outputs,
+            outputs=[],
             completion_cycles=completion_cycles,
-            total_cycles=total_cycles,
+            total_cycles=cycle,
             measured_ii=_steady_state_ii(completion_cycles),
             latency_cycles=completion_cycles[0] + 1,
             fu_stats=[fu.stats() for fu in fus],
@@ -1072,81 +1004,20 @@ class FastSimulator:
             trace=None,
         )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fingerprint(
-        fus: List[_FastFU],
-        channels: List[_FastChannel],
-        received: Dict[int, Set[int]],
-        cycle: int,
-        completed: int,
-    ) -> tuple:
-        return (
-            tuple(fu.fingerprint(cycle, completed) for fu in fus),
-            tuple(
-                tuple((block - completed, vid) for block, vid in channel.queue)
-                for channel in channels
-            ),
-            tuple(
-                (block - completed, tuple(sorted(vids)))
-                for block, vids in sorted(received.items())
-            ),
-        )
 
-    @staticmethod
-    def _apply_fast_forward(
-        match: Tuple[int, int, List[Tuple[int, ...]]],
-        fus: List[_FastFU],
-        channels: List[_FastChannel],
-        received: Dict[int, Set[int]],
-        completion: List[Optional[int]],
-        cycle: int,
-        completed: int,
-        num_blocks: int,
-    ) -> Optional[Tuple[int, int]]:
-        """Skip ahead as many whole periods as the remaining blocks allow.
+def _stream_outputs(schedule: OverlaySchedule, blocks: List[List[int]]) -> List[List[int]]:
+    """The value plane: output rows of a whole input stream.
 
-        Returns the new ``(cycle, completed)`` or None when no whole period
-        fits (the drain continues cycle-accurately either way).
-        """
-        cycle_1, completed_1, stats_1 = match
-        period = cycle - cycle_1
-        blocks_per_period = completed - completed_1
-        if period <= 0 or blocks_per_period <= 0:
-            return None
-        # The periodic evolution matches the finite run only while no block
-        # pointer reaches num_blocks, so leave the last period(s) to the
-        # cycle-accurate drain.
-        frontier = 0
-        for fu in fus:
-            if fu.load_order:
-                frontier = max(frontier, fu.load_block)
-            if fu.slots:
-                frontier = max(frontier, fu.exec_block)
-        periods = (num_blocks - 1 - frontier) // blocks_per_period
-        if periods < 1:
-            return None
+    Uses the schedule's vectorized evaluator when it can (numpy present,
+    every value in signed 32-bit range) and the scalar plan otherwise; both
+    are bit-identical to the cycle simulator's datapath.
+    """
+    from .batchsim import plan_for  # batchsim subclasses FastSimulator
 
-        delta_cycles = periods * period
-        delta_blocks = periods * blocks_per_period
-        window = completion[completed_1:completed]
-        for k in range(1, periods + 1):
-            base = completed_1 + k * blocks_per_period
-            offset = k * period
-            for j, done in enumerate(window):
-                completion[base + j] = done + offset  # type: ignore[operator]
-        for fu, stats_before in zip(fus, stats_1):
-            fu.shift(delta_cycles, delta_blocks, periods, stats_before)
-        for channel in channels:
-            channel.shift(delta_blocks)
-        if received:
-            shifted = {block + delta_blocks: vids for block, vids in received.items()}
-            received.clear()
-            received.update(shifted)
-        return cycle + delta_cycles, completed + delta_blocks
-
-    def _default_max_cycles(self, num_blocks: int) -> int:
-        return default_max_cycles(self.schedule, num_blocks)
+    rows = plan_for(schedule).vector_evaluator.evaluate(blocks)
+    if rows is None:
+        rows = _functional_outputs(schedule.dfg, blocks)
+    return rows
 
 
 def _functional_outputs(dfg, blocks: List[List[int]]) -> List[List[int]]:
@@ -1179,7 +1050,6 @@ def simulate_fast(
     max_cycles: Optional[int] = None,
     enforce_rf_capacity: bool = True,
     fast_forward: bool = True,
-    detector: str = "occupancy",
 ) -> SimulationResult:
     """Run the fast engine on a stream of input blocks."""
     simulator = FastSimulator(
@@ -1187,6 +1057,5 @@ def simulate_fast(
         max_cycles=max_cycles,
         enforce_rf_capacity=enforce_rf_capacity,
         fast_forward=fast_forward,
-        detector=detector,
     )
     return simulator.run(input_blocks)

@@ -75,7 +75,6 @@ class SweepResult:
     overlay_depth: int
     num_blocks: int
     engine: str
-    detector: str
     scheduler: str
     analytic_ii: float
     #: None when the run completed fewer than two blocks (no measurable II);
@@ -185,7 +184,6 @@ def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> Sweep
         overlay_depth=overlay.depth,
         num_blocks=sim.num_blocks,
         engine=sim.engine,
-        detector=sim.detector,
         scheduler=point.overlay.scheduler,
         fmax_mhz=float(overlay_fmax_mhz(overlay.variant, overlay.depth)),
     )
@@ -258,7 +256,6 @@ def _error_result(point: SweepPoint, message: str, attempts: int) -> SweepResult
         overlay_depth=overlay_depth,
         num_blocks=point.sim.num_blocks,
         engine=point.sim.engine,
-        detector=point.sim.detector,
         scheduler=point.overlay.scheduler,
         analytic_ii=0.0,
         measured_ii=None,
@@ -538,7 +535,7 @@ def run_sweep(
 ) -> List[SweepResult]:
     """Run a sweep grid fault-tolerantly, fanning points out over workers.
 
-    Engine and detector names are validated by the specs at point
+    Engine names are validated by the specs at point
     construction, so a grid can no longer hold an invalid point.  Results
     always come back in grid order.
 
@@ -717,7 +714,7 @@ def render_sweep_table(results: Sequence[SweepResult]) -> str:
     """Plain-text table of sweep results (CLI output)."""
     header = (
         f"{'kernel':10s} {'overlay':8s} {'sched':9s} {'engine':7s} "
-        f"{'detector':9s} {'blocks':>6s} {'II':>7s} "
+        f"{'blocks':>6s} {'II':>7s} "
         f"{'meas II':>8s} {'lat cyc':>8s} {'GOPS':>7s} {'ref':>4s} {'sim s':>8s}"
     )
     lines = [header, "-" * len(header)]
@@ -726,14 +723,14 @@ def render_sweep_table(results: Sequence[SweepResult]) -> str:
             label = "quarantined" if r.quarantined else "infeasible"
             lines.append(
                 f"{r.kernel:10s} {r.overlay_name:8s} {r.scheduler:9s} "
-                f"{r.engine:7s} {r.detector:9s} {label} ({r.error})"
+                f"{r.engine:7s} {label} ({r.error})"
             )
             continue
         check = {True: "OK", False: "FAIL", None: "-"}[r.matches_reference]
         measured = "-" if r.measured_ii is None else f"{r.measured_ii:.2f}"
         lines.append(
             f"{r.kernel:10s} {r.overlay_name:8s} {r.scheduler:9s} "
-            f"{r.engine:7s} {r.detector:9s} "
+            f"{r.engine:7s} "
             f"{r.num_blocks:6d} {r.analytic_ii:7.2f} {measured:>8s} "
             f"{r.latency_cycles:8d} {r.throughput_gops:7.3f} {check:>4s} "
             f"{r.elapsed_s:8.4f}"

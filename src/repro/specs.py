@@ -1,13 +1,13 @@
 """Typed, frozen spec objects — the only way knobs travel between layers.
 
-Every knob of the tool flow (variant, depth, engine, detector, num_blocks,
+Every knob of the tool flow (variant, depth, engine, num_blocks,
 seed, ...) lives in one of these frozen dataclasses instead of travelling
 as loose keyword arguments:
 
 * :class:`OverlaySpec` — *which overlay*: FU variant, depth policy (explicit
   or auto-sized), fixed-depth flag, FIFO depth;
-* :class:`SimSpec` — *how to simulate*: engine, steady-state detector,
-  stream length, seed, tracing, verification;
+* :class:`SimSpec` — *how to simulate*: engine, stream length, seed,
+  tracing, verification;
 * :class:`SweepSpec` — *what grid to run*: kernels x overlay specs, one
   shared :class:`SimSpec`, worker count;
 * :class:`TuneSpec` — *what to auto-tune*: one kernel, the candidate axes
@@ -35,8 +35,7 @@ from .overlay.architecture import DEFAULT_FIXED_DEPTH, LinearOverlay
 from .overlay.fu import get_variant
 
 #: Simulation engines understood by :func:`repro.sim.overlay.simulate_schedule`.
-#: ``"batched"`` needs the optional numpy dependency (the ``[batch]`` extra)
-#: and falls back to a clear ``ConfigurationError`` without it.
+#: ``"batched"`` is a second name for ``"fast"``: same engine, same results.
 ENGINES = ("cycle", "fast", "batched")
 
 #: Objectives the auto-tuner can minimise: initiation interval, negated
@@ -193,12 +192,9 @@ class SimSpec:
     ----------
     engine:
         ``"cycle"`` (the cycle-accurate golden reference), ``"fast"`` (the
-        event-driven engine, identical results) or ``"batched"`` (the
-        codegen + lane-batched engine, identical results; needs the optional
-        numpy ``[batch]`` extra).
-    detector:
-        Fast/batched-engine steady-state detector (``"occupancy"`` or
-        ``"legacy"``); ignored by the cycle engine.
+        event-driven engine, identical results) or ``"batched"`` (another
+        name for ``"fast"``, kept as spelled).  numpy, when installed, only
+        speeds up the fast engine's value plane.
     num_blocks:
         Data blocks in the generated input stream (when the caller does not
         provide explicit blocks).
@@ -211,7 +207,6 @@ class SimSpec:
     """
 
     engine: str = "cycle"
-    detector: str = "occupancy"
     num_blocks: int = 12
     seed: int = 0
     trace: bool = False
@@ -223,14 +218,6 @@ class SimSpec:
                 f"unknown simulation engine {self.engine!r}; "
                 f"available: {', '.join(ENGINES)}"
             )
-        # Imported lazily: the detector registry lives with the fast engine.
-        from .engine.fastsim import DETECTORS
-
-        if self.detector not in DETECTORS:
-            raise ConfigurationError(
-                f"unknown steady-state detector {self.detector!r}; "
-                f"available: {', '.join(DETECTORS)}"
-            )
         if self.num_blocks < 0:
             raise ConfigurationError("num_blocks must be non-negative")
 
@@ -238,7 +225,6 @@ class SimSpec:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "engine": self.engine,
-            "detector": self.detector,
             "num_blocks": self.num_blocks,
             "seed": self.seed,
             "trace": self.trace,

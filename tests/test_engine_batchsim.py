@@ -1,29 +1,32 @@
-"""Batched-engine contract suite (the batched-execution PR gate).
+"""The ``batched`` spelling and the value plane of the fast engine.
 
-Five layers of guarantees:
+``engine="batched"`` runs the fast engine
+(:class:`~repro.engine.batchsim.BatchSimulator` is
+:class:`~repro.engine.fastsim.FastSimulator` under its own class name), and
+:mod:`repro.engine.batchsim` holds the fast engine's vectorized value
+plane.  Five layers of guarantees:
 
-* **bit-identity** — the batched engine (whole-loop codegen + lane-batched
-  execution, :mod:`repro.engine.batchsim`) produces results exactly equal
-  to the fast engine's across the whole kernel library on V3/V4/V5 at
-  fifo_depth in {2, 4, 8, 32} and on the critical-path overlays
-  (baseline/V1/V2), including FU stats, high-water marks and the measured
-  II, under every knob (detector, fast_forward, RF enforcement);
-* **multi-lane aggregation** — the PR 1 ``_run_multilane`` stats/high-water
-  regression holds as a shared contract for *both* engines (parameterized
-  over ``fast`` and ``batched``);
-* **plan artifacts** — per-schedule loop plans are memoised, attached to
-  compile-cache entries via ``ScheduleCache.get_batch_plan``, injectable,
-  and dropped from pickled cache entries (generated code never hits disk);
+* **bit-identity** — ``batched`` results equal ``fast`` results across the
+  whole kernel library on V3/V4/V5 at fifo_depth in {2, 4, 8, 32} and on
+  the critical-path overlays (baseline/V1/V2), including FU stats,
+  high-water marks and the measured II, under every knob (fast_forward, RF
+  enforcement);
+* **multi-lane aggregation** — merged stats are per-lane sums and
+  high-water marks lane maxima, for both spellings, with the cycle engine's
+  per-lane runs as the oracle (lanes of one length share one timing run);
+* **plan artifacts** — the per-schedule value-plane plan is memoised,
+  built on first simulate (never at compile time), reachable through
+  ``ScheduleCache.get_batch_plan``, and never part of a pickled entry;
 * **optional dependency** — with numpy absent (``sys.modules`` stub in a
-  subprocess) the library imports and the default engine runs, while the
-  batched engine fails with a ``ConfigurationError`` naming the
-  ``[batch]`` extra;
+  subprocess) the library imports and both the ``fast`` and ``batched``
+  spellings run on the scalar value plane with the numpy-present results;
 * **ride-alongs** — the service ``simulate`` op accepts
-  ``SimSpec(engine="batched")`` on the wire (unknown engines are
-  ``E_PARAMS``) and ``TuneSpec`` can pin the measurement engine with
-  identical measured results.
+  ``SimSpec(engine="batched")`` on the wire (unknown engines and the removed
+  ``detector`` field are ``E_PARAMS``) and ``TuneSpec`` can pin the
+  measurement engine with identical measured results.
 """
 
+import json
 import os
 import pickle
 import subprocess
@@ -51,7 +54,7 @@ except ImportError:
     numpy = None
 
 needs_numpy = pytest.mark.skipif(
-    numpy is None, reason="the batched engine needs the numpy [batch] extra"
+    numpy is None, reason="the vectorized value plane needs the numpy [batch] extra"
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -118,7 +121,6 @@ def assert_batched_identical(schedule, num_blocks, seed=3, **knobs):
 # ---------------------------------------------------------------------------
 # bit-identity with the fast engine
 # ---------------------------------------------------------------------------
-@needs_numpy
 class TestLibraryBitIdentity:
     """Exact equality against the fast engine, library-wide."""
 
@@ -134,10 +136,6 @@ class TestLibraryBitIdentity:
     def test_critical_path_library(self, name, variant_name):
         schedule = _auto_schedule(name, variant_name)
         assert_batched_identical(schedule, num_blocks=20)
-
-    def test_legacy_detector(self):
-        schedule = _fixed_schedule("qspline", "v4", 8)
-        assert_batched_identical(schedule, num_blocks=24, detector="legacy")
 
     def test_no_fast_forward(self):
         schedule = _fixed_schedule("poly6", "v3", 4)
@@ -171,21 +169,30 @@ class TestLibraryBitIdentity:
         with pytest.raises(ConfigurationError):
             simulate_schedule(schedule, num_blocks=4, engine="warp")
 
-    def test_unknown_detector_rejected(self):
+    def test_detector_is_no_longer_a_knob(self):
         from repro.engine.batchsim import BatchSimulator
 
         schedule = _auto_schedule("gradient", "v1")
-        with pytest.raises(ConfigurationError):
-            BatchSimulator(schedule, detector="psychic")
+        with pytest.raises(TypeError):
+            BatchSimulator(schedule, detector="occupancy")
+        with pytest.raises(ConfigurationError, match="detector"):
+            SimSpec.from_dict({"engine": "batched", "detector": "occupancy"})
+
+    def test_batched_spelling_is_the_fast_engine(self):
+        from repro.engine.batchsim import BatchSimulator
+
+        assert issubclass(BatchSimulator, FastSimulator)
+        # Its own ``run`` entry, so a class-level patch of one spelling
+        # never reaches the other.
+        assert BatchSimulator.__dict__["run"] is FastSimulator.__dict__["run"]
+        assert SimSpec(engine="batched").engine == "batched"
 
 
 # ---------------------------------------------------------------------------
-# multi-lane stats aggregation: shared contract for both engines
+# multi-lane stats aggregation: shared contract for both spellings
 # ---------------------------------------------------------------------------
-@needs_numpy
 class TestMultilaneAggregationContract:
-    """The PR 1 multilane regression, parameterized over both engines:
-    merged stats are per-lane sums and high-water marks are lane maxima,
+    """Merged stats are per-lane sums and high-water marks are lane maxima,
     with the cycle-accurate per-lane runs as the oracle."""
 
     @staticmethod
@@ -214,6 +221,23 @@ class TestMultilaneAggregationContract:
                 + lane1.fu_stats[k].instructions_issued
             )
 
+    @pytest.mark.parametrize("num_blocks,lengths", [(8, [4]), (9, [5, 4]), (1, [1])])
+    def test_one_timing_run_per_distinct_lane_length(self, num_blocks, lengths):
+        schedule = _auto_schedule("qspline", "v2")
+        blocks = random_input_blocks(schedule.dfg, num_blocks, seed=0)
+        simulator = FastSimulator(schedule)
+        run_single_lane = simulator._run_single_lane
+        runs = []
+
+        def counted(count):
+            runs.append(count)
+            return run_single_lane(count)
+
+        simulator._run_single_lane = counted
+        result = simulator.run(blocks)
+        assert runs == lengths
+        assert result == OverlaySimulator(schedule).run(blocks)
+
     @pytest.mark.parametrize("engine", ["fast", "batched"])
     def test_high_water_marks_take_lane_maximum(self, engine):
         schedule = _auto_schedule("qspline", "v2")
@@ -232,9 +256,24 @@ class TestMultilaneAggregationContract:
 
 
 # ---------------------------------------------------------------------------
-# plan artifacts: memoisation, cache attachment, pickling
+# plan artifacts: memoisation, lazy build, cache access, pickling
 # ---------------------------------------------------------------------------
-@needs_numpy
+class _PlanBuildCounter:
+    """Counts ``BatchPlan`` constructions while installed."""
+
+    def __init__(self, monkeypatch):
+        from repro.engine import batchsim
+
+        self.builds = 0
+        original = batchsim.BatchPlan.__init__
+
+        def counting(plan, schedule):
+            self.builds += 1
+            original(plan, schedule)
+
+        monkeypatch.setattr(batchsim.BatchPlan, "__init__", counting)
+
+
 class TestPlanArtifacts:
     def test_plans_are_memoised_per_schedule_object(self):
         from repro.engine.batchsim import plan_for
@@ -244,98 +283,139 @@ class TestPlanArtifacts:
         assert plan_for(a) is plan_for(a)
         assert plan_for(a) is not plan_for(b)
 
-    def test_plan_holds_compiled_loop_and_source(self):
-        from repro.engine.batchsim import plan_for
+    def test_plan_holds_only_the_vector_evaluator(self):
+        from repro.engine.batchsim import VectorBlockEvaluator, plan_for
 
         plan = plan_for(_fixed_schedule("gradient", "v3", 8))
-        assert callable(plan.loop)
-        assert "def _batch_loop" in plan.loop_source
+        assert isinstance(plan.vector_evaluator, VectorBlockEvaluator)
+        assert "def _vplan" in plan.vector_evaluator.plan_source
+        assert not hasattr(plan, "loop")
 
-    def test_injected_plan_is_used_and_identical(self):
+    @needs_numpy
+    def test_fast_engine_evaluates_through_the_memoised_plan(self):
         from repro.engine.batchsim import BatchSimulator, plan_for
 
         schedule = _fixed_schedule("mibench", "v4", 4)
-        plan = plan_for(schedule)
-        blocks = random_input_blocks(schedule.dfg, 12, seed=1)
-        injected = BatchSimulator(schedule, plan=plan)
-        assert injected.plan is plan
-        default = BatchSimulator(schedule).run(blocks)
-        assert _result_fields(injected.run(blocks)) == _result_fields(default)
+        evaluator = plan_for(schedule).vector_evaluator
+        calls = []
+        original = evaluator.evaluate
 
-    def test_cache_attaches_one_plan_per_entry(self):
+        def spy(blocks):
+            rows = original(blocks)
+            calls.append(rows is not None)
+            return rows
+
+        evaluator.evaluate = spy
+        try:
+            blocks = random_input_blocks(schedule.dfg, 12, seed=1)
+            fast = FastSimulator(schedule).run(blocks)
+            batched = BatchSimulator(schedule).run(blocks)
+        finally:
+            del evaluator.evaluate
+        # One vectorized pass per run, never a scalar fallback.
+        assert calls == [True, True]
+        assert _result_fields(batched) == _result_fields(fast)
+
+    def test_cache_hands_out_the_memoised_plan(self):
+        from repro.engine.batchsim import plan_for
+
         tc = Toolchain(cache=ScheduleCache())
         handle = tc.compile("gradient", OverlaySpec("v3"))
         first = tc.cache.get_batch_plan(handle.key)
         assert first is not None
         assert tc.cache.get_batch_plan(handle.key) is first
+        assert plan_for(handle.schedule) is first
 
     def test_unknown_key_yields_no_plan(self):
         tc = Toolchain(cache=ScheduleCache())
         handle = tc.compile("gradient", OverlaySpec("v3"))
         assert ScheduleCache().get_batch_plan(handle.key) is None
 
-    def test_simulate_warms_the_cached_plan(self):
+    def test_compile_builds_no_plan_and_simulate_builds_one(self, monkeypatch):
+        counter = _PlanBuildCounter(monkeypatch)
         tc = Toolchain(cache=ScheduleCache())
         handle = tc.compile("gradient", OverlaySpec("v3"))
-        entry = tc.cache.peek(handle.key)
-        assert entry.batch_plan is None
-        result = tc.simulate(handle, SimSpec(engine="batched", num_blocks=8))
-        assert result.matches_reference
-        assert tc.cache.peek(handle.key).batch_plan is not None
-
-    def test_pickled_cache_entries_drop_the_plan(self):
-        tc = Toolchain(cache=ScheduleCache())
-        handle = tc.compile("gradient", OverlaySpec("v3"))
+        assert counter.builds == 0
+        for engine in ("fast", "batched"):
+            result = tc.simulate(handle, SimSpec(engine=engine, num_blocks=8))
+            assert result.matches_reference
+        assert counter.builds == 1
         tc.cache.get_batch_plan(handle.key)
+        assert counter.builds == 1
+
+    def test_cache_entries_carry_no_plan(self):
+        tc = Toolchain(cache=ScheduleCache())
+        handle = tc.compile("gradient", OverlaySpec("v3"))
+        tc.simulate(handle, SimSpec(engine="batched", num_blocks=8))
         entry = tc.cache.peek(handle.key)
-        assert entry.batch_plan is not None
+        assert "batch_plan" not in vars(entry)
         revived = pickle.loads(pickle.dumps(entry))
-        assert revived.batch_plan is None
-        # ... and the original keeps its in-memory plan.
-        assert entry.batch_plan is not None
+        assert "batch_plan" not in vars(revived)
+        assert revived.schedule.kernel_name == entry.schedule.kernel_name
 
 
 # ---------------------------------------------------------------------------
 # optional dependency: the library must not need numpy
 # ---------------------------------------------------------------------------
+#: Runs fast and batched simulations of a few artifacts and prints their
+#: timing and outputs as JSON.  The first argument blocks numpy when "1".
+_PLANE_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import sys
+    if sys.argv[1] == "1":
+        sys.modules["numpy"] = None  # import numpy -> ImportError
+    sys.path.insert(0, {src!r})
+
+    from repro import Toolchain
+    from repro.engine import batchsim
+    from repro.specs import OverlaySpec, SimSpec
+
+    rows = {{"numpy": batchsim.np is not None}}
+    tc = Toolchain()
+    for kernel, spec in (("gradient", OverlaySpec("v1")),
+                         ("qspline", OverlaySpec("v2")),
+                         ("poly7", OverlaySpec("v4", depth=8, fifo_depth=4))):
+        handle = tc.compile(kernel, spec)
+        for engine in ("fast", "batched"):
+            result = tc.simulate(handle, SimSpec(engine=engine, num_blocks=9, seed=4))
+            assert result.matches_reference, (kernel, engine)
+            rows[kernel + "/" + engine] = [
+                result.outputs, result.completion_cycles, result.total_cycles,
+                result.measured_ii, result.latency_cycles,
+                [list(vars(stats).values()) for stats in result.fu_stats],
+                result.fifo_high_water, result.rf_high_water,
+                result.rf_per_block_high_water,
+            ]
+    print(json.dumps(rows))
+    """
+).format(src=SRC_DIR)
+
+
+def _plane_run(block_numpy):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PLANE_SCRIPT, "1" if block_numpy else "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 class TestNumpyAbsent:
-    """With numpy stubbed out of sys.modules, imports and the default
-    engine work; only the batched engine refuses, pointing at [batch]."""
+    """With numpy stubbed out of sys.modules, both engine spellings run on
+    the scalar value plane and reproduce the numpy-present results."""
 
-    def test_library_runs_without_numpy(self):
-        script = textwrap.dedent(
-            """
-            import sys
-            sys.modules["numpy"] = None  # import numpy -> ImportError
-            sys.path.insert(0, {src!r})
-
-            from repro import Toolchain
-            from repro.errors import ConfigurationError
-            from repro.specs import OverlaySpec, SimSpec
-
-            tc = Toolchain()
-            handle = tc.compile("gradient", OverlaySpec("v1"))
-            result = tc.simulate(handle, SimSpec(num_blocks=6))
-            assert result.matches_reference
-
-            spec = SimSpec(engine="batched", num_blocks=6)  # spec needs no numpy
-            try:
-                tc.simulate(handle, spec)
-            except ConfigurationError as error:
-                assert "[batch]" in str(error), error
-            else:
-                raise AssertionError("batched engine ran without numpy")
-            print("NUMPY-ABSENT-OK")
-            """
-        ).format(src=SRC_DIR)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "NUMPY-ABSENT-OK" in proc.stdout
+    def test_both_spellings_run_on_the_scalar_plane(self):
+        absent = _plane_run(block_numpy=True)
+        assert absent.pop("numpy") is False
+        for kernel in ("gradient", "qspline", "poly7"):
+            assert absent[kernel + "/batched"] == absent[kernel + "/fast"]
+        if numpy is not None:
+            present = _plane_run(block_numpy=False)
+            assert present.pop("numpy") is True
+            assert absent == present
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +429,6 @@ class TestServiceEngineSelection:
 
         return InProcessClient(OverlayService(capacity=64))
 
-    @needs_numpy
     def test_batched_row_matches_fast_row(self, client):
         fast = client.simulate(
             "gradient", OverlaySpec(variant="v3"), sim=SimSpec(engine="fast")
@@ -374,11 +453,25 @@ class TestServiceEngineSelection:
             )
         assert err.value.code == E_PARAMS
 
+    def test_detector_field_is_E_PARAMS(self, client):
+        from repro.service.protocol import E_PARAMS, ServiceError
+
+        with pytest.raises(ServiceError) as err:
+            client.request(
+                "simulate",
+                {
+                    "kernel": "gradient",
+                    "overlay": {"variant": "v3"},
+                    "sim": {"engine": "batched", "detector": "occupancy"},
+                },
+            )
+        assert err.value.code == E_PARAMS
+        assert "detector" in str(err.value)
+
 
 # ---------------------------------------------------------------------------
 # tuner ride-along: pinning the measurement engine
 # ---------------------------------------------------------------------------
-@needs_numpy
 class TestTuneEnginePin:
     def test_batched_measurements_match_fast(self):
         from repro.tune import tune

@@ -112,6 +112,51 @@ class TestScheduleCache:
         assert reader.stats.misses == 1
         assert compiled.schedule.kernel_name == "gradient"
 
+    def test_stale_entry_naming_a_moved_module_is_a_miss(self, tmp_path):
+        disk = str(tmp_path / "cache")
+        dfg = get_kernel("gradient")
+        overlay = LinearOverlay.for_kernel("v1", dfg)
+        key = CacheKey.for_mapping(dfg, overlay)
+        (tmp_path / "cache").mkdir()
+        # A protocol-0 pickle whose class lives in a module that is gone.
+        path = tmp_path / "cache" / key.filename()
+        path.write_bytes(b"crepro.engine.moved_away\nCompiledKernel\n)R.")
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(path.read_bytes())
+        reader = ScheduleCache(capacity=4, disk_dir=disk)
+        compiled = reader.get_or_compile(get_kernel("gradient"), overlay)
+        assert reader.stats.misses == 1
+        assert reader.stats.disk_hits == 0
+        assert compiled.schedule.kernel_name == "gradient"
+
+    def test_entry_pickled_with_a_batch_plan_field_loads_and_simulates(self, tmp_path):
+        """Entries written while CompiledKernel still had ``batch_plan``
+        (always pickled as None) keep loading after the field is gone."""
+        import copy
+
+        from repro.api import Toolchain
+
+        disk = str(tmp_path / "cache")
+        dfg = get_kernel("qspline")
+        overlay = LinearOverlay.for_kernel("v2", dfg)
+        compiled = ScheduleCache(capacity=4, disk_dir=disk).get_or_compile(dfg, overlay)
+        older = copy.copy(compiled)
+        older.__dict__["batch_plan"] = None
+        path = tmp_path / "cache" / CacheKey.for_mapping(dfg, overlay).filename()
+        path.write_bytes(pickle.dumps(older, protocol=pickle.HIGHEST_PROTOCOL))
+
+        reader = ScheduleCache(capacity=4, disk_dir=disk)
+        tc = Toolchain(cache=reader)
+        handle = tc.compile("qspline", OverlaySpec("v2"))
+        assert reader.stats.disk_hits == 1
+        assert reader.stats.misses == 0
+        results = [
+            tc.simulate(handle, SimSpec(engine=engine, num_blocks=9))
+            for engine in ("fast", "batched")
+        ]
+        assert all(result.matches_reference for result in results)
+        assert results[0] == results[1]
+
     def test_compiled_kernel_is_picklable(self, cache):
         dfg = get_kernel("qspline")
         compiled = cache.get_or_compile(dfg, LinearOverlay.fixed("v3", 8))

@@ -1,18 +1,18 @@
-"""Deep kernels on fixed-depth overlays: the occupancy detector's home turf.
+"""Deep kernels on fixed-depth overlays: the steady-state detector's home turf.
 
 The backpressure-heavy region — deep kernels folded onto fixed-depth V3-V5
-overlays at small FIFO depths — is where the legacy steady-state detector
-needs O(fifo_depth x depth) warm-up blocks before its fingerprint recurs.
-This suite pins down the occupancy detector's guarantees there:
+overlays at small FIFO depths — is where a whole-machine fingerprint would
+need O(fifo_depth x depth) warm-up blocks before it recurs.  This suite pins
+down the occupancy detector's guarantees there:
 
 * bit-identical results against the cycle-accurate golden reference across
   the *whole* kernel library on V3/V4/V5 at fifo_depth in {2, 4, 8, 32},
   including FIFO high-water marks and the measured II;
-* the occupancy detector locks onto the periodic regime much earlier than
-  the legacy detector (and within the analytic warm-up bound
-  ``W(depth, fifo_depth, II)``, the cross-check oracle);
-* the ``detector`` knob is plumbed through ``simulate_schedule``, sweep
-  points and the CLI;
+* the detector locks onto the periodic regime within the analytic warm-up
+  bound ``W(depth, fifo_depth, II)`` (the cross-check oracle), skipping
+  during the FIFO fill, and its skips change nothing a full run measures;
+* the removed ``detector`` knob is rejected everywhere it used to travel:
+  spec dicts, ``simulate_schedule``, sweep rows, the CLI and the wire;
 * the satellite fixes: the schedule-only compile-cache path is memoised,
   and runs too short to measure an II report ``None`` instead of crashing
   the sweep.
@@ -28,13 +28,7 @@ from repro.engine.fastsim import (
     steady_state_warmup_bound,
     warmup_bound_blocks,
 )
-from repro.engine.sweep import (
-    SweepPoint,
-    build_grid,
-    render_sweep_table,
-    run_point,
-    run_sweep,
-)
+from repro.engine.sweep import SweepPoint, render_sweep_table, run_point
 from repro.errors import CodegenError, ConfigurationError
 from repro.kernels import BENCHMARK_NAMES, get_kernel
 from repro.kernels.generators import dfg_from_level_profile
@@ -76,10 +70,10 @@ def _fixed_schedule(name, variant, fifo_depth, depth=8):
     return schedule_kernel(dfg, overlay)
 
 
-def assert_engines_identical(schedule, num_blocks, seed=3, detector="occupancy"):
+def assert_engines_identical(schedule, num_blocks, seed=3):
     blocks = random_input_blocks(schedule.dfg, num_blocks, seed=seed)
     cycle = OverlaySimulator(schedule).run(blocks)
-    fast = FastSimulator(schedule, detector=detector).run(blocks)
+    fast = FastSimulator(schedule).run(blocks)
     for field in COMPARED_FIELDS:
         assert getattr(fast, field) == getattr(cycle, field), (
             f"{schedule.kernel_name} on {schedule.overlay.name} "
@@ -117,62 +111,46 @@ class TestFixedDepthLibraryEquivalence:
         assert fast.measured_ii == cycle.measured_ii
 
 
-class TestDetectorAgreement:
-    """occupancy == legacy == no-fast-forward, field by field."""
+class TestFastForwardAgreement:
+    """The skipping run equals the run that simulates every cycle."""
 
     @pytest.mark.parametrize("variant", WRITE_BACK_VARIANTS, ids=["v3", "v4", "v5"])
-    def test_all_detectors_agree_on_deep_kernel(self, variant):
+    def test_skip_agrees_with_full_run_on_deep_kernel(self, variant):
         schedule = _fixed_schedule("poly7", variant, 8)
         blocks = random_input_blocks(schedule.dfg, 80, seed=7)
-        results = {
-            mode: FastSimulator(schedule, detector=mode).run(blocks)
-            for mode in ("occupancy", "legacy")
-        }
-        results["off"] = FastSimulator(schedule, fast_forward=False).run(blocks)
+        skipping = FastSimulator(schedule)
+        result = skipping.run(blocks)
+        full = FastSimulator(schedule, fast_forward=False).run(blocks)
+        assert skipping.fast_forward_events
         for field in COMPARED_FIELDS:
-            values = {mode: getattr(r, field) for mode, r in results.items()}
-            assert values["occupancy"] == values["legacy"] == values["off"], field
-
-    def test_unknown_detector_rejected(self):
-        schedule = _fixed_schedule("qspline", V3, 8)
-        with pytest.raises(ConfigurationError):
-            FastSimulator(schedule, detector="psychic")
-        with pytest.raises(ConfigurationError):
-            run_sweep([SweepPoint("qspline", OverlaySpec("v3"), SimSpec(detector="psychic"))])
+            assert getattr(result, field) == getattr(full, field), field
 
 
 class TestEarlySteadyStateSkip:
-    """The tentpole claim: the occupancy detector locks before the FIFOs fill."""
+    """The detector locks before the FIFOs fill, within the warm-up bound."""
 
-    def test_occupancy_locks_long_before_legacy_on_deep_fill(self):
+    def test_locks_within_warmup_bound_on_deep_fill(self):
         schedule = _fixed_schedule("poly7", V3, 32)
         blocks = random_input_blocks(schedule.dfg, 400, seed=3)
-        occupancy = FastSimulator(schedule)
-        occupancy.run(blocks)
-        legacy = FastSimulator(schedule, detector="legacy")
-        legacy.run(blocks)
-        assert occupancy.fast_forward_events, "occupancy detector never engaged"
-        assert legacy.fast_forward_events, "legacy detector never engaged"
-        first_occupancy = occupancy.fast_forward_events[0]["completed"]
-        first_legacy = legacy.fast_forward_events[0]["completed"]
-        # The legacy fingerprint cannot recur until the ~fifo_depth x depth
-        # block fill transient ends; the occupancy detector skips within a
-        # couple of dozen completions.
-        assert first_occupancy * 4 <= first_legacy
-        assert any(e["kind"] == "ramp" for e in occupancy.fast_forward_events)
+        simulator = FastSimulator(schedule)
+        simulator.run(blocks)
+        assert simulator.fast_forward_events, "the detector never engaged"
+        first = simulator.fast_forward_events[0]
+        assert first["completed"] <= warmup_bound_blocks(schedule)
+        assert first["cycle"] <= steady_state_warmup_bound(schedule)
+        # It skips while the inter-stage FIFOs are still filling.
+        assert any(e["kind"] == "ramp" for e in simulator.fast_forward_events)
 
-    def test_occupancy_skips_where_legacy_cannot(self):
+    def test_skips_during_a_fill_that_outlasts_the_stream(self):
         """poly7 on V4/fifo32 never reaches full steady state in 600 blocks."""
         schedule = _fixed_schedule("poly7", V4, 32)
         blocks = random_input_blocks(schedule.dfg, 600, seed=3)
-        occupancy = FastSimulator(schedule)
-        result = occupancy.run(blocks)
-        legacy = FastSimulator(schedule, detector="legacy")
-        legacy_result = legacy.run(blocks)
-        assert occupancy.fast_forward_events
-        assert not legacy.fast_forward_events
+        skipping = FastSimulator(schedule)
+        result = skipping.run(blocks)
+        full = FastSimulator(schedule, fast_forward=False).run(blocks)
+        assert skipping.fast_forward_events
         for field in COMPARED_FIELDS:
-            assert getattr(result, field) == getattr(legacy_result, field), field
+            assert getattr(result, field) == getattr(full, field), field
 
     @pytest.mark.parametrize("fifo_depth", (8, 32))
     @pytest.mark.parametrize("variant", WRITE_BACK_VARIANTS, ids=["v3", "v4", "v5"])
@@ -204,44 +182,64 @@ class TestEarlySteadyStateSkip:
         assert compiled.warmup_bound_cycles > 0
 
 
-class TestDetectorPlumbing:
-    def test_simulate_schedule_accepts_detector(self):
-        schedule = _fixed_schedule("poly6", V3, 8)
-        fast = simulate_schedule(schedule, num_blocks=32, engine="fast",
-                                 detector="occupancy")
-        legacy = simulate_schedule(schedule, num_blocks=32, engine="fast",
-                                   detector="legacy")
-        assert fast.matches_reference and legacy.matches_reference
-        assert fast.completion_cycles == legacy.completion_cycles
+class TestDetectorKnobRemoved:
+    """``detector`` is not a knob: every layer rejects it as an unknown
+    field or keyword."""
 
-    def test_sweep_point_detector_flows_into_result(self):
+    def test_sim_spec_rejects_detector_field(self):
+        with pytest.raises(ConfigurationError, match="detector"):
+            SimSpec.from_dict({"engine": "fast", "detector": "occupancy"})
+        with pytest.raises(TypeError):
+            SimSpec(engine="fast", detector="occupancy")
+
+    def test_engine_entry_points_take_no_detector(self):
+        schedule = _fixed_schedule("poly6", V3, 8)
+        with pytest.raises(TypeError):
+            FastSimulator(schedule, detector="occupancy")
+        with pytest.raises(TypeError):
+            simulate_schedule(schedule, num_blocks=8, engine="fast", detector="occupancy")
+
+    def test_sweep_rows_have_no_detector_column(self):
         point = SweepPoint(
-            "qspline",
-            OverlaySpec("v3", depth=8),
-            SimSpec(engine="fast", num_blocks=24, detector="legacy"),
+            "qspline", OverlaySpec("v3", depth=8), SimSpec(engine="fast", num_blocks=24)
         )
         result = run_point(point)
-        assert result.detector == "legacy"
         assert result.matches_reference
+        assert "detector" not in result.as_row()
+        assert "detector" not in render_sweep_table([result])
 
-    def test_build_grid_propagates_detector(self):
-        grid = build_grid(
-            ["qspline"], overlays=[OverlaySpec("v3")], sim=SimSpec(detector="legacy")
-        )
-        assert all(point.sim.detector == "legacy" for point in grid)
-
-    def test_cli_sweep_detector_smoke(self, capsys):
+    def test_cli_rejects_detector_flag(self, capsys):
         from repro.cli import main
 
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--kernels", "qspline", "--detector", "occupancy"])
+        assert exit_info.value.code == 2
+        assert "--detector" in capsys.readouterr().err
         code = main([
             "sweep", "--kernels", "qspline,poly7", "--variants", "v3",
-            "--depths", "8", "--blocks", "24", "--detector", "legacy",
-            "--jobs", "1", "--json",
+            "--depths", "8", "--blocks", "24", "--jobs", "1", "--json",
         ])
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
-        assert rows and all(row["detector"] == "legacy" for row in rows)
+        assert rows and all("detector" not in row for row in rows)
         assert all(row["matches_reference"] for row in rows)
+
+    def test_wire_detector_is_E_PARAMS(self):
+        from repro.service.client import InProcessClient
+        from repro.service.protocol import E_PARAMS, ServiceError
+        from repro.service.server import OverlayService
+
+        client = InProcessClient(OverlayService(capacity=8))
+        with pytest.raises(ServiceError) as err:
+            client.request(
+                "simulate",
+                {
+                    "kernel": "qspline",
+                    "overlay": {"variant": "v3"},
+                    "sim": {"engine": "fast", "detector": "legacy"},
+                },
+            )
+        assert err.value.code == E_PARAMS
 
 
 # ---------------------------------------------------------------------------

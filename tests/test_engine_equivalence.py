@@ -94,35 +94,34 @@ class TestSteadyStateFastForward:
     def test_long_stream_matches_cycle_engine(self, name, variant):
         assert_identical(name, variant, num_blocks=96, seed=11)
 
-    @pytest.mark.parametrize("detector", ["occupancy", "legacy"])
-    def test_fast_forward_actually_engages(self, detector):
+    def test_fast_forward_actually_engages(self):
         """At 96 blocks the engine must skip, not silently run every cycle."""
         schedule = _schedule_for("qspline", V1)
         blocks = random_input_blocks(schedule.dfg, 96, seed=11)
-        simulator = FastSimulator(schedule, detector=detector)
+        simulator = FastSimulator(schedule)
         simulator.run(blocks)
         assert simulator.fast_forward_events
 
-    def test_legacy_skip_applier_still_hooked(self):
-        """The legacy detector routes through the patchable class hook."""
+    def test_skip_applier_engages(self, monkeypatch):
+        """Every logged skip comes from an applied ``_try_skip``."""
+        from repro.engine import fastsim
+
         schedule = _schedule_for("qspline", V1)
         blocks = random_input_blocks(schedule.dfg, 96, seed=11)
         engaged = []
-        original = FastSimulator._apply_fast_forward
+        original = fastsim._OccupancyDetector._try_skip
 
-        def probe(match, fus, channels, received, completion, cycle, completed, num_blocks):
-            result = original(
-                match, fus, channels, received, completion, cycle, completed, num_blocks
-            )
+        def probe(detector, *args):
+            result = original(detector, *args)
             engaged.append(result)
             return result
 
-        FastSimulator._apply_fast_forward = staticmethod(probe)
-        try:
-            FastSimulator(schedule, detector="legacy").run(blocks)
-        finally:
-            FastSimulator._apply_fast_forward = staticmethod(original)
-        assert any(result is not None for result in engaged)
+        monkeypatch.setattr(fastsim._OccupancyDetector, "_try_skip", probe)
+        simulator = FastSimulator(schedule)
+        simulator.run(blocks)
+        applied = [result for result in engaged if result is not None]
+        assert applied
+        assert len(applied) == len(simulator.fast_forward_events)
 
     def test_fast_forward_disabled_still_matches(self):
         schedule = _schedule_for("qspline", V1)

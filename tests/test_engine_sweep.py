@@ -218,7 +218,7 @@ class TestSweepCLI:
 
         parser_args = argparse.Namespace(
             kernels="gradient", variants="v1", depths="", schedulers="",
-            blocks=12, seed=0, engine="fast", detector="occupancy",
+            blocks=12, seed=0, engine="fast",
             no_verify=False, jobs=1, retries=5, timeout=30.0,
             store=str(tmp_path), resume=False, no_retry=False,
         )
@@ -235,7 +235,7 @@ class TestSweepCLI:
 
         parser_args = argparse.Namespace(
             kernels="gradient", variants="v1", depths="", schedulers="",
-            blocks=12, seed=0, engine="fast", detector="occupancy",
+            blocks=12, seed=0, engine="fast",
             no_verify=False, jobs=1, retries=4, timeout=None,
             store=None, resume=True, no_retry=True,
         )

@@ -9,6 +9,10 @@ tool flow must uphold for *any* legal kernel:
 * the generated instruction streams round-trip through the binary encoding;
 * the simulated overlay computes exactly what the reference model computes,
   on every FU variant;
+* the engines agree bit for bit on generated kernels: the fast engine's full
+  ``SimulationResult`` equals the cycle engine's on V1-V5 at every FIFO
+  depth, and the ``batched`` spelling equals ``fast`` (a fast subset runs in
+  tier-1, the full grid under ``--runslow``);
 * the auto-tuner is a pure function of its spec and its result store — the
   same :class:`~repro.specs.TuneSpec` against the same store reproduces the
   identical :class:`~repro.specs.TuneResult`, and a resumed tune never
@@ -25,6 +29,9 @@ from hypothesis import strategies as st
 from repro.dfg.analysis import asap_stage_assignment, dfg_depth, stage_traffic
 from repro.dfg.transforms import optimize
 from repro.dfg.validate import collect_validation_errors
+from repro.engine.batchsim import BatchSimulator
+from repro.engine.fastsim import FastSimulator
+from repro.errors import SimulationError
 from repro.kernels.generators import random_dfg
 from repro.kernels.reference import evaluate_dfg, random_input_blocks
 from repro.overlay.architecture import LinearOverlay
@@ -34,7 +41,7 @@ from repro.program.codegen import generate_program
 from repro.schedule import analytic_ii, schedule_kernel
 from repro.schedule.ordering import verify_ordering
 from repro.schedule.types import SlotKind
-from repro.sim.overlay import simulate_schedule
+from repro.sim.overlay import OverlaySimulator, simulate_schedule
 
 #: Strategy for seeded random kernels that stay small enough to simulate fast.
 kernel_strategy = st.builds(
@@ -149,6 +156,64 @@ class TestSimulationInvariants:
         dfg = random_dfg(3, 10, seed=seed)
         blocks = random_input_blocks(dfg, 4, seed=seed)
         assert all(len(b) == dfg.num_inputs for b in blocks)
+
+
+def _run_engine(simulator, blocks):
+    """A run's full result, or the type of the error it raised."""
+    try:
+        return simulator.run(blocks)
+    except SimulationError as error:
+        return type(error)
+
+
+def _assert_engines_agree(dfg, variant_name, fifo_depth, depth, num_blocks):
+    variant = FU_VARIANTS[variant_name]
+    if variant.write_back:
+        overlay = LinearOverlay.fixed(variant, depth, fifo_depth=fifo_depth)
+    else:
+        overlay = LinearOverlay.for_kernel(variant, dfg, fifo_depth=fifo_depth)
+    schedule = schedule_kernel(dfg, overlay)
+    blocks = random_input_blocks(dfg, num_blocks, seed=num_blocks)
+    cycle = _run_engine(OverlaySimulator(schedule), blocks)
+    fast = _run_engine(FastSimulator(schedule), blocks)
+    batched = _run_engine(BatchSimulator(schedule), blocks)
+    # SimulationResult is a dataclass: == compares every field, including
+    # outputs, completion cycles, FU stats and every high-water mark.
+    assert fast == cycle
+    assert batched == fast
+
+
+#: Stream lengths: short runs, odd counts (unequal 2-lane splits on V2)
+#: and runs long enough for the steady-state skip.
+_STREAM_LENGTHS = st.sampled_from([1, 2, 3, 5, 8, 13, 24])
+_ORACLE_STRATEGY = dict(
+    dfg=kernel_strategy,
+    variant_name=st.sampled_from(["v1", "v2", "v3", "v4", "v5"]),
+    fifo_depth=st.sampled_from([2, 4, 8, 32]),
+    depth=st.integers(min_value=3, max_value=8),
+)
+
+
+class TestEngineDifferentialOracle:
+    """fast == cycle and batched == fast on generated kernels."""
+
+    @given(num_blocks=_STREAM_LENGTHS, **_ORACLE_STRATEGY)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_engines_agree_on_generated_kernels(
+        self, dfg, variant_name, fifo_depth, depth, num_blocks
+    ):
+        _assert_engines_agree(dfg, variant_name, fifo_depth, depth, num_blocks)
+
+    @pytest.mark.slow
+    @given(
+        num_blocks=st.one_of(_STREAM_LENGTHS, st.integers(min_value=1, max_value=96)),
+        **_ORACLE_STRATEGY,
+    )
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_engines_agree_on_the_full_grid(
+        self, dfg, variant_name, fifo_depth, depth, num_blocks
+    ):
+        _assert_engines_agree(dfg, variant_name, fifo_depth, depth, num_blocks)
 
 
 class TestTunerInvariants:

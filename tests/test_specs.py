@@ -88,7 +88,6 @@ class TestSimSpec:
     def test_defaults(self):
         spec = SimSpec()
         assert spec.engine == "cycle"
-        assert spec.detector == "occupancy"
         assert spec.num_blocks == 12
         assert spec.seed == 0
         assert spec.trace is False
@@ -103,13 +102,15 @@ class TestSimSpec:
             SimSpec(engine="warp")
 
     def test_unknown_detector_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimSpec(detector="psychic")
+        # The detector knob is gone: its field is an unknown one.
+        with pytest.raises(ConfigurationError, match="detector"):
+            SimSpec.from_dict({"detector": "occupancy"})
 
     def test_json_round_trip_identity(self):
         for spec in (
             SimSpec(),
-            SimSpec(engine="fast", detector="legacy", num_blocks=64, seed=7),
+            SimSpec(engine="fast", num_blocks=64, seed=7),
+            SimSpec(engine="batched", num_blocks=5),
             SimSpec(trace=True, verify=False),
         ):
             assert SimSpec.from_json(spec.to_json()) == spec

@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .dfg.graph import DFG
 from .dfg.serialize import dfg_fingerprint
-from .engine.cache import CacheKey, CompiledKernel, ScheduleCache, default_cache
-from .errors import CodegenError, ConfigurationError, VerificationError
+from .engine.cache import CacheKey, ScheduleCache, default_cache
+from .errors import ConfigurationError, VerificationError
 from .kernels.library import get_kernel
 from .metrics.models import ModelPrediction, PerformanceModel, resolve_model
 from .metrics.performance import PerformanceResult, analytic_performance
@@ -52,7 +52,8 @@ class CompiledHandle:
 
     ``program`` and ``configuration`` are ``None`` only for schedule-only
     handles (kernels that schedule fine but exceed the variant's register
-    file or instruction memory; see ``allow_schedule_only``) — those still
+    file or instruction memory: the cache entry's ``codegen_error`` is set;
+    see ``allow_schedule_only``) — those still
     evaluate analytically and simulate (the simulator runs from the
     schedule), but have no binary to load onto a runtime.
     """
@@ -91,12 +92,11 @@ class Toolchain:
     def __init__(self, cache: Optional[ScheduleCache] = None):
         self.cache = cache if cache is not None else default_cache()
         #: (DFG fingerprint, overlay spec) -> (built overlay, resolved spec,
-        #: cache key).  Only *derived sizing* is memoised here — the compiled
-        #: artifacts themselves always come from the injected cache, so its
-        #: statistics and ``clear()`` stay truthful.
-        self._resolved: "OrderedDict[Tuple, Tuple[LinearOverlay, OverlaySpec, CacheKey]]" = (
-            OrderedDict()
-        )
+        #: cache key), and (source hash, name, overlay spec) -> the lowered
+        #: DFG plus that triple.  Only *derived sizing* is memoised here — the
+        #: compiled artifacts themselves always come from the injected cache,
+        #: so its statistics and ``clear()`` stay truthful.
+        self._resolved: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self._analytic: "OrderedDict[CacheKey, PerformanceResult]" = OrderedDict()
         #: (cache key, model cache token, sim spec) -> ModelPrediction.  The
         #: model's *cache token* (not just its name) is part of the key, so a
@@ -122,8 +122,9 @@ class Toolchain:
         Goes through the session cache, so a warm call is a dictionary
         lookup.  With ``allow_schedule_only=True``, kernels whose codegen
         overflows the register file / instruction memory come back as
-        schedule-only handles instead of raising
-        :class:`~repro.errors.CodegenError`.  With ``check=True``, the
+        schedule-only handles; without it they raise
+        :class:`~repro.errors.CodegenError`, from the cached schedule-only
+        entry when the key was compiled before.  With ``check=True``, the
         compiled artifact is run through the static verification passes
         (:mod:`repro.verify`) and an error diagnostic raises
         :class:`~repro.errors.VerificationError`; artifacts produced by a
@@ -139,91 +140,50 @@ class Toolchain:
         if source is not None:
             if kernel is not None:
                 raise ConfigurationError("pass either a kernel or source, not both")
-            return self._compile_source(
-                source, overlay, name, allow_schedule_only, check=check
-            )
-        if kernel is None:
+            dfg, built, resolved, key = self._resolve_source(source, overlay, name)
+        elif kernel is None:
             raise ConfigurationError("provide a kernel (name or DFG) or source=")
-        dfg = get_kernel(kernel) if isinstance(kernel, str) else kernel
-        built, resolved, key = self._resolve(dfg, overlay)
-        try:
-            compiled = self.cache.get_or_compile_keyed(key, dfg, built)
-            handle = self._handle_from_compiled(dfg, built, resolved, key, compiled)
-        except CodegenError:
-            if not allow_schedule_only:
-                raise
-            schedule = self.cache.get_schedule(
-                dfg, built, scheduler=resolved.scheduler
-            )
-            handle = CompiledHandle(
-                dfg=dfg,
-                overlay=built,
-                spec=resolved,
-                schedule=schedule,
-                program=None,
-                configuration=None,
-                key=key,
-            )
+        else:
+            dfg = get_kernel(kernel) if isinstance(kernel, str) else kernel
+            built, resolved, key = self._resolve(dfg, overlay)
+        compiled = self.cache.get_or_compile_keyed(key, dfg, built)
+        error = compiled.codegen_error
+        if error is not None and not allow_schedule_only:
+            # A fresh exception per raise: re-raising the cached object would
+            # grow its traceback every time.
+            raise type(error)(*error.args)
+        handle = CompiledHandle(
+            dfg=dfg,
+            overlay=built,
+            spec=resolved,
+            schedule=compiled.schedule,
+            program=compiled.program,
+            configuration=compiled.configuration,
+            key=key,
+            warmup_bound_cycles=compiled.warmup_bound_cycles,
+        )
         return self._checked(handle, check)
 
-    def _compile_source(
-        self,
-        source: str,
-        overlay: OverlaySpec,
-        name: Optional[str],
-        allow_schedule_only: bool = False,
-        check: bool = False,
-    ) -> CompiledHandle:
+    def _resolve_source(
+        self, source: str, spec: OverlaySpec, name: Optional[str]
+    ) -> Tuple[DFG, LinearOverlay, OverlaySpec, CacheKey]:
+        """Lowered DFG plus :meth:`_resolve`'s triple for mini-C source.
+
+        Memoised per (source hash, name, spec): a warm source compile is
+        this lookup plus one cache hit by key, with no lowering and no DFG
+        hashing.  A cold one lowers the source once (through the
+        content-hashed frontend cache) and hashes the DFG once.
+        """
         from .frontend.cache import default_frontend_cache
         from .frontend.lexer import source_hash
 
-        skey = ("source", source_hash(source), name, overlay)
-        with self._lock:
-            entry = self._resolved.get(skey)
-            if entry is not None:
-                self._resolved.move_to_end(skey)
-        if entry is not None:
-            # Warm path: overlay sizing memoised, so compiling is the
-            # cache's pure source-index lookup — the DFG is never hashed.
-            built, resolved, key = entry
-        else:
-            # Cold: lower the source once (content-hashed frontend cache)
-            # to size the overlay and record the resolution.
+        skey = ("source", source_hash(source), name, spec)
+        entry = self._recall(self._resolved, skey)
+        if entry is None:
             dfg = default_frontend_cache().dfg(source, name=name)
-            built, resolved, key = self._resolve(dfg, overlay)
-            with self._lock:
-                self._resolved[skey] = (built, resolved, key)
-                self._resolved.move_to_end(skey)
-                while len(self._resolved) > 4 * self.cache.capacity:
-                    self._resolved.popitem(last=False)
-        try:
-            compiled = self.cache.get_or_compile_source(
-                source, built, name=name, scheduler=resolved.scheduler
-            )
-        except CodegenError:
-            if not allow_schedule_only:
-                raise
-            dfg = default_frontend_cache().dfg(source, name=name)
-            return self._checked(
-                CompiledHandle(
-                    dfg=dfg,
-                    overlay=built,
-                    spec=resolved,
-                    schedule=self.cache.get_schedule(
-                        dfg, built, scheduler=resolved.scheduler
-                    ),
-                    program=None,
-                    configuration=None,
-                    key=key,
-                ),
-                check,
-            )
-        return self._checked(
-            self._handle_from_compiled(
-                compiled.schedule.dfg, built, resolved, key, compiled
-            ),
-            check,
-        )
+            entry = (dfg, *self._resolve(dfg, spec))
+            self._remember(self._resolved, skey, entry)
+        return entry
 
     def _resolve(
         self, dfg: DFG, spec: OverlaySpec
@@ -236,11 +196,9 @@ class Toolchain:
         """
         fingerprint = dfg_fingerprint(dfg)
         rkey = (dfg.name, fingerprint, spec)
-        with self._lock:
-            entry = self._resolved.get(rkey)
-            if entry is not None:
-                self._resolved.move_to_end(rkey)
-                return entry
+        entry = self._recall(self._resolved, rkey)
+        if entry is not None:
+            return entry
         from .schedule.registry import resolve_strategy_name
 
         built = spec.build_overlay(dfg)
@@ -267,31 +225,24 @@ class Toolchain:
                 scheduler=resolve_strategy_name(spec.scheduler, built),
             ),
         )
-        with self._lock:
-            self._resolved[rkey] = entry
-            self._resolved.move_to_end(rkey)
-            while len(self._resolved) > 4 * self.cache.capacity:
-                self._resolved.popitem(last=False)
+        self._remember(self._resolved, rkey, entry)
         return entry
 
-    def _handle_from_compiled(
-        self,
-        dfg: DFG,
-        built: LinearOverlay,
-        resolved: OverlaySpec,
-        key: CacheKey,
-        compiled: CompiledKernel,
-    ) -> CompiledHandle:
-        return CompiledHandle(
-            dfg=dfg,
-            overlay=built,
-            spec=resolved,
-            schedule=compiled.schedule,
-            program=compiled.program,
-            configuration=compiled.configuration,
-            key=key,
-            warmup_bound_cycles=compiled.warmup_bound_cycles,
-        )
+    def _recall(self, memo: OrderedDict, key):
+        """A session memo's entry for ``key`` (LRU-touched), or None."""
+        with self._lock:
+            value = memo.get(key)
+            if value is not None:
+                memo.move_to_end(key)
+            return value
+
+    def _remember(self, memo: OrderedDict, key, value) -> None:
+        """Record a session memo entry (LRU, 4x the cache's capacity)."""
+        with self._lock:
+            memo[key] = value
+            memo.move_to_end(key)
+            while len(memo) > 4 * self.cache.capacity:
+                memo.popitem(last=False)
 
     # ------------------------------------------------------------------
     # verify
@@ -379,17 +330,10 @@ class Toolchain:
             raise ConfigurationError(
                 "pass an overlay spec only when evaluating a kernel, not a handle"
             )
-        with self._lock:
-            proto = self._analytic.get(handle.key)
-            if proto is not None:
-                self._analytic.move_to_end(handle.key)
+        proto = self._recall(self._analytic, handle.key)
         if proto is None:
             proto = analytic_performance(handle.dfg, handle.overlay, handle.schedule)
-            with self._lock:
-                self._analytic[handle.key] = proto
-                self._analytic.move_to_end(handle.key)
-                while len(self._analytic) > 4 * self.cache.capacity:
-                    self._analytic.popitem(last=False)
+            self._remember(self._analytic, handle.key, proto)
         result = replace(proto)
         if sim is not None:
             _merge_measured(result, self.simulate(handle, sim))
@@ -423,11 +367,9 @@ class Toolchain:
             )
         resolved_model = resolve_model(model)
         pkey = (handle.key, resolved_model.cache_token, sim)
-        with self._lock:
-            pred = self._predictions.get(pkey)
-            if pred is not None:
-                self._predictions.move_to_end(pkey)
-                return pred
+        pred = self._recall(self._predictions, pkey)
+        if pred is not None:
+            return pred
         pred = resolved_model.predict(
             handle.dfg,
             handle.overlay,
@@ -435,11 +377,7 @@ class Toolchain:
             sim=sim,
             scheduler=handle.spec.scheduler,
         )
-        with self._lock:
-            self._predictions[pkey] = pred
-            self._predictions.move_to_end(pkey)
-            while len(self._predictions) > 4 * self.cache.capacity:
-                self._predictions.popitem(last=False)
+        self._remember(self._predictions, pkey, pred)
         return pred
 
     def simulate(

@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .api import CompiledHandle, Toolchain, default_toolchain
-from .errors import CodegenError, ReproError
+from .errors import ReproError
 from .kernels import all_benchmarks, get_kernel, kernel_names
 from .metrics.performance import evaluate_kernel_all_overlays
 from .metrics.tables import render_fig5_series, render_table1, render_table3
@@ -157,20 +157,17 @@ def _load_kernel(args):
 def _compile_handle(
     toolchain: Toolchain, dfg, source: Optional[str], spec: OverlaySpec
 ) -> CompiledHandle:
-    """Compile through the session (source fast path when given).
+    """Compile through the session (source memo when given).
 
     Kernels that schedule but exceed the register file / instruction memory
-    fall back to a schedule-only handle, so ``map`` and ``simulate`` keep
+    come back as schedule-only handles, so ``map`` and ``simulate`` keep
     working for them.  The in-memory layer is empty in a one-shot CLI
     process, but the disk layer (``REPRO_CACHE_DIR``) makes repeated shell
     invocations skip the mapping flow entirely.
     """
-    try:
-        if source is not None:
-            return toolchain.compile(source=source, overlay=spec)
-        return toolchain.compile(dfg, spec)
-    except CodegenError:
-        return toolchain.compile(dfg, spec, allow_schedule_only=True)
+    if source is not None:
+        return toolchain.compile(source=source, overlay=spec, allow_schedule_only=True)
+    return toolchain.compile(dfg, spec, allow_schedule_only=True)
 
 
 def _print_json(rows) -> None:
@@ -545,8 +542,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print("compiled-schedule cache:")
     print(f"  entries     : {len(compile_cache)} in memory (capacity "
           f"{compile_cache.capacity}), this process only")
-    print(f"  hits        : {stats.hits} memory, {stats.disk_hits} disk, "
-          f"{stats.source_hits} source fast path")
+    print(f"  hits        : {stats.hits} memory, {stats.disk_hits} disk")
     print(f"  misses      : {stats.misses} ({stats.evictions} evictions)")
     print(f"  hit rate    : {stats.hit_rate * 100:.1f}%")
     if compile_cache.disk_dir:

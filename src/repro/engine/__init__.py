@@ -28,7 +28,7 @@ sweeps:
   suite uses to prove every degradation path; see ``docs/sweeps.md``.
 """
 
-from .cache import CacheKey, CompiledKernel, ScheduleCache, default_cache, dfg_content_hash
+from .cache import CacheKey, CompiledKernel, ScheduleCache, default_cache, dfg_fingerprint
 from .fastsim import (
     FastSimulator,
     simulate_fast,
@@ -51,7 +51,7 @@ __all__ = [
     "CompiledKernel",
     "ScheduleCache",
     "default_cache",
-    "dfg_content_hash",
+    "dfg_fingerprint",
     "FastSimulator",
     "simulate_fast",
     "steady_state_warmup_bound",

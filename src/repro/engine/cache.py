@@ -35,16 +35,16 @@ in-flight compile propagates its exception to every waiter.  The lock is
 held only for dictionary operations — compiles run outside it — so one
 instance serves a whole thread pool without lock striping.
 
-End-to-end chain
-----------------
-Together with the frontend layer (:mod:`repro.frontend.cache`) the cache
-covers the full ``source → tokens → AST → DFG → schedule → program →
-configuration image`` chain, every stage keyed by content hash.
-:meth:`ScheduleCache.get_or_compile_source` is the one-call entry: a warm hit
-on its *source index* — keyed by ``(source hash, name, optimizer flag,
-overlay configuration)`` — returns the compiled binary without lexing,
-parsing, lowering or even hashing a DFG.  A cold call falls through layer by
-layer, reusing whatever prefix of the chain is already cached.
+Codegen overflows
+-----------------
+Some kernels schedule fine but overflow the FU's rotating register file or
+instruction memory during codegen.  Their entry is **schedule-only**: the
+schedule and its warm-up bound, no program or configuration image, and the
+:class:`~repro.errors.CodegenError` codegen raised in ``codegen_error``.
+The cache stores it (and writes it to disk) like any other entry and never
+raises it; :meth:`repro.api.Toolchain.compile` decides whether a caller
+gets the schedule-only handle or the error.  So a kernel that schedules
+runs the scheduler once per key, whatever codegen makes of it.
 
 Compiled artifacts are treated as immutable by every consumer (simulator,
 codegen listings, context-switch accounting), which is what makes sharing a
@@ -60,20 +60,16 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..dfg.graph import DFG
 from ..dfg.serialize import dfg_fingerprint
+from ..errors import CodegenError
 from ..overlay.architecture import LinearOverlay
 from ..program.binary import ConfigurationImage, build_configuration_image
 from ..program.codegen import OverlayProgram, generate_program
 from ..schedule import schedule_kernel
 from ..schedule.types import OverlaySchedule
-
-
-def dfg_content_hash(dfg: DFG) -> str:
-    """Stable content hash of a DFG (alias of :func:`dfg_fingerprint`)."""
-    return dfg_fingerprint(dfg)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class CacheKey:
 
         return cls(
             kernel_name=dfg.name,
-            dfg_hash=dfg_content_hash(dfg),
+            dfg_hash=dfg_fingerprint(dfg),
             variant_name=overlay.variant.name,
             depth=overlay.depth,
             fixed_depth=overlay.fixed_depth,
@@ -125,35 +121,34 @@ class CacheKey:
 
 @dataclass
 class CompiledKernel:
-    """The full output of the ahead-of-time mapping flow for one kernel."""
+    """The output of the ahead-of-time mapping flow for one kernel.
+
+    ``program`` and ``configuration`` are ``None`` only for schedule-only
+    entries, whose ``codegen_error`` holds the codegen failure.
+    """
 
     schedule: OverlaySchedule
-    program: OverlayProgram
-    configuration: ConfigurationImage
+    program: Optional[OverlayProgram]
+    configuration: Optional[ConfigurationImage]
     #: Analytic steady-state warm-up bound W(depth, fifo_depth, II) in
     #: cycles (:func:`repro.engine.fastsim.steady_state_warmup_bound`),
     #: computed once at compile time so sweeps and runtimes can cap the
     #: fast engine's fingerprint table without re-deriving it per run.
     warmup_bound_cycles: int = 0
+    #: Why codegen failed (register file or instruction memory overflow),
+    #: or ``None`` for a full entry.  Pickles written before this field
+    #: existed load with the class default, i.e. as full entries.
+    codegen_error: Optional[CodegenError] = None
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting of one :class:`ScheduleCache`.
-
-    ``source_hits`` counts warm hits on the source index — full-chain
-    lookups that skipped the frontend entirely; they are *in addition to*
-    the DFG-keyed ``hits``, never double-counted.  ``schedule_hits`` counts
-    warm hits on the schedule-only index (kernels whose full compile fails
-    codegen but whose schedule is still valid for analytic evaluation).
-    """
+    """Hit/miss accounting of one :class:`ScheduleCache`."""
 
     hits: int = 0
     misses: int = 0
     disk_hits: int = 0
     evictions: int = 0
-    source_hits: int = 0
-    schedule_hits: int = 0
     #: Lookups that blocked on another thread's in-flight compile of the
     #: same key and received its artifact — the pipeline ran once, not N
     #: times.  Counted separately from ``hits``/``misses`` so the
@@ -162,20 +157,14 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        return (
-            self.hits + self.misses + self.disk_hits + self.source_hits
-            + self.schedule_hits + self.coalesced
-        )
+        return self.hits + self.misses + self.disk_hits + self.coalesced
 
     @property
     def hit_rate(self) -> float:
         lookups = self.lookups
         if not lookups:
             return 0.0
-        return (
-            self.hits + self.disk_hits + self.source_hits + self.schedule_hits
-            + self.coalesced
-        ) / lookups
+        return (self.hits + self.disk_hits + self.coalesced) / lookups
 
     def as_dict(self) -> dict:
         """Flat dict snapshot (service ``stats`` endpoint, CLI views)."""
@@ -184,8 +173,6 @@ class CacheStats:
             "misses": self.misses,
             "disk_hits": self.disk_hits,
             "evictions": self.evictions,
-            "source_hits": self.source_hits,
-            "schedule_hits": self.schedule_hits,
             "coalesced": self.coalesced,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
@@ -217,12 +204,6 @@ class ScheduleCache:
         self.disk_dir = disk_dir if disk_dir is not None else os.environ.get("REPRO_CACHE_DIR")
         self.stats = CacheStats()
         self._entries: "OrderedDict[CacheKey, CompiledKernel]" = OrderedDict()
-        self._source_index: "OrderedDict[Tuple, CacheKey]" = OrderedDict()
-        #: Schedules of kernels whose *full* compile raised CodegenError
-        #: (register pressure / instruction memory): the schedule itself is
-        #: valid and analytic sweeps request it over and over, so it is
-        #: memoised here instead of being rescheduled on every call.
-        self._schedule_index: "OrderedDict[CacheKey, OverlaySchedule]" = OrderedDict()
         #: Static-verification verdicts (``repro.verify.VerifyReport``) keyed
         #: by compile key, so warm compile paths never re-run the passes.
         #: Verdicts live and die with the entries: ``clear()`` drops them.
@@ -237,11 +218,9 @@ class ScheduleCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (and the source index) and reset the statistics."""
+        """Drop every entry and verdict and reset the statistics."""
         with self._lock:
             self._entries.clear()
-            self._source_index.clear()
-            self._schedule_index.clear()
             self._verdicts.clear()
             self.stats = CacheStats()
 
@@ -271,10 +250,11 @@ class ScheduleCache:
         """Return the compiled artifacts, running the mapping flow on a miss.
 
         ``scheduler`` selects the registered scheduling strategy; every
-        strategy has its own cache entries (it is part of the key).
+        strategy has its own cache entries (it is part of the key).  A
+        codegen overflow comes back as a schedule-only entry, not an error.
         """
         key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        return self._get_or_compile_keyed(key, dfg, overlay)
+        return self.get_or_compile_keyed(key, dfg, overlay)
 
     def get_or_compile_keyed(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
@@ -282,139 +262,9 @@ class ScheduleCache:
         """Like :meth:`get_or_compile` with a precomputed key.
 
         The session API (:meth:`repro.api.Toolchain.compile`) memoises the
-        :class:`CacheKey` per (DFG fingerprint, overlay spec) and uses this
-        entry so a warm compile hashes the DFG exactly once.
+        :class:`CacheKey` per (DFG fingerprint, overlay spec) and per
+        source, and uses this entry so a warm compile hashes no DFG twice.
         """
-        return self._get_or_compile_keyed(key, dfg, overlay)
-
-    def get_schedule(
-        self, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
-    ) -> OverlaySchedule:
-        """Return the schedule, even for kernels whose codegen fails.
-
-        The analytic evaluation path (:meth:`repro.api.Toolchain.evaluate`)
-        needs only the schedule; kernels that schedule fine
-        but exceed the variant's register file or instruction memory raise
-        :class:`~repro.errors.CodegenError` in the *later* stages of the full
-        compile.  Those schedules are memoised in a dedicated index keyed
-        like the main cache, so a sweep asks the scheduler (and recomputes
-        ASAP levels / resource estimates on fresh DFG copies) exactly once
-        per (kernel, overlay) pair instead of once per call — and the doomed
-        codegen stages are not re-attempted on every lookup either.
-        """
-        from ..errors import CodegenError
-
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return cached.schedule
-            schedule = self._schedule_index.get(key)
-            if schedule is not None:
-                self._schedule_index.move_to_end(key)
-                self.stats.schedule_hits += 1
-                return schedule
-        try:
-            return self._get_or_compile_keyed(key, dfg, overlay).schedule
-        except CodegenError:
-            # Reschedule once (the failed compile's schedule is out of reach)
-            # and memoise it; this path runs at most once per (kernel,
-            # overlay) pair per cache lifetime.  A racing thread may have
-            # memoised it while we waited on the coalesced compile, so
-            # re-check before rescheduling.
-            with self._lock:
-                schedule = self._schedule_index.get(key)
-                if schedule is not None:
-                    self._schedule_index.move_to_end(key)
-                    self.stats.schedule_hits += 1
-                    return schedule
-            schedule = schedule_kernel(dfg, overlay, scheduler=key.scheduler)
-            with self._lock:
-                self.stats.misses += 1
-                self._schedule_index[key] = schedule
-                while len(self._schedule_index) > self.capacity:
-                    self._schedule_index.popitem(last=False)
-            return schedule
-
-    def get_or_compile_source(
-        self,
-        source: str,
-        overlay: LinearOverlay,
-        name: Optional[str] = None,
-        run_optimizer: bool = True,
-        scheduler: str = "auto",
-    ) -> CompiledKernel:
-        """Compile mini-C source end-to-end, reusing every cached stage.
-
-        The warm path is a single dictionary lookup keyed by ``(source
-        content hash, name, run_optimizer, overlay configuration)`` — no
-        lexing, parsing, lowering or DFG hashing happens at all.  On a source
-        miss the call falls back through the frontend cache (which may still
-        hold the token stream, AST or lowered DFG) and then through the
-        DFG-keyed compile path, finally recording the source key so the next
-        call short-circuits.
-        """
-        from ..frontend.cache import default_frontend_cache
-        from ..frontend.lexer import source_hash
-        from ..schedule.registry import resolve_strategy_name
-
-        scheduler = resolve_strategy_name(scheduler, overlay)
-        skey = (
-            source_hash(source),
-            name,
-            run_optimizer,
-            overlay.variant.name,
-            overlay.depth,
-            overlay.fixed_depth,
-            overlay.fifo_depth,
-            scheduler,
-        )
-        with self._lock:
-            key = self._source_index.get(skey)
-            if key is not None:
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self._source_index.move_to_end(skey)
-                    self._entries.move_to_end(key)
-                    self.stats.source_hits += 1
-                    return cached
-
-        dfg = default_frontend_cache().dfg(source, name=name, run_optimizer=run_optimizer)
-        key = CacheKey.for_mapping(dfg, overlay, scheduler)
-        compiled = self._get_or_compile_keyed(key, dfg, overlay)
-        with self._lock:
-            self._source_index[skey] = key
-            while len(self._source_index) > 4 * self.capacity:
-                self._source_index.popitem(last=False)
-        return compiled
-
-    def peek(self, key: CacheKey) -> Optional[CompiledKernel]:
-        """The cached entry for ``key`` (LRU-touched, no stats), or None."""
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-            return cached
-
-    def get_batch_plan(self, key: CacheKey):
-        """The value-plane plan of a cached entry's schedule, or None.
-
-        Returns the :class:`repro.engine.batchsim.BatchPlan` that the fast
-        engine memoises per schedule (building it if this is its first
-        use), or ``None`` when the key has no in-memory entry.
-        """
-        entry = self.peek(key)
-        if entry is None:
-            return None
-        from .batchsim import plan_for
-
-        return plan_for(entry.schedule)
-
-    def _get_or_compile_keyed(
-        self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
-    ) -> CompiledKernel:
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -451,10 +301,36 @@ class ScheduleCache:
                 self._inflight.pop(key, None)
             flight.event.set()
 
+    def peek(self, key: CacheKey) -> Optional[CompiledKernel]:
+        """The cached entry for ``key`` (LRU-touched, no stats), or None."""
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is not None:
+                self._entries.move_to_end(key)
+            return cached
+
+    def get_batch_plan(self, key: CacheKey):
+        """The value-plane plan of a cached entry's schedule, or None.
+
+        Returns the :class:`repro.engine.batchsim.BatchPlan` that the fast
+        engine memoises per schedule (building it if this is its first
+        use), or ``None`` when the key has no in-memory entry.
+        """
+        entry = self.peek(key)
+        if entry is None:
+            return None
+        from .batchsim import plan_for
+
+        return plan_for(entry.schedule)
+
     def _compile_miss(
         self, key: CacheKey, dfg: DFG, overlay: LinearOverlay
     ) -> CompiledKernel:
-        """Disk lookup, then the full mapping pipeline (the leader's path)."""
+        """Disk lookup, then the mapping pipeline (the leader's path).
+
+        The scheduler runs once; a :class:`~repro.errors.CodegenError` from
+        the codegen or binary stage makes a schedule-only entry.
+        """
         from_disk = self._load_from_disk(key)
         if from_disk is not None:
             with self._lock:
@@ -465,13 +341,20 @@ class ScheduleCache:
         from .fastsim import steady_state_warmup_bound
 
         schedule = schedule_kernel(dfg, overlay, scheduler=key.scheduler)
-        program = generate_program(schedule)
-        configuration = build_configuration_image(schedule, program)
+        program = configuration = error = None
+        try:
+            program = generate_program(schedule)
+            configuration = build_configuration_image(schedule, program)
+        except CodegenError as overflow:
+            program = None
+            # The entry outlives this frame: keep the error, not its traceback.
+            error = overflow.with_traceback(None)
         compiled = CompiledKernel(
             schedule=schedule,
             program=program,
             configuration=configuration,
             warmup_bound_cycles=steady_state_warmup_bound(schedule),
+            codegen_error=error,
         )
         with self._lock:
             self.stats.misses += 1

@@ -8,7 +8,7 @@ disk layer gives compilation:
 
 * the **key** of a point is a content hash over everything its
   :class:`~repro.engine.sweep.SweepResult` depends on — the kernel name, the
-  kernel's DFG content hash (:func:`~repro.engine.cache.dfg_content_hash`,
+  kernel's DFG content hash (:func:`~repro.dfg.serialize.dfg_fingerprint`,
   so editing a kernel invalidates its rows), the *resolved* overlay spec
   (depth/fixed filled in for this kernel, so ``depth=None`` auto sizing and
   the equivalent explicit depth share an entry) and the sim spec.  Runner
@@ -39,8 +39,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..dfg.serialize import dfg_fingerprint
 from ..kernels.library import get_kernel
-from .cache import dfg_content_hash
 
 #: Bumped when the entry layout changes; mismatching entries read as misses.
 STORE_VERSION = 1
@@ -108,7 +108,7 @@ class ResultStore:
         dfg = get_kernel(point.kernel)
         return StoreKey(
             kernel=point.kernel,
-            dfg_hash=dfg_content_hash(dfg),
+            dfg_hash=dfg_fingerprint(dfg),
             overlay=point.overlay.resolve(dfg).to_dict(),
             sim=point.sim.to_dict(),
         ).digest()

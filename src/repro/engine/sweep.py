@@ -191,11 +191,16 @@ def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> Sweep
         compiled = (cache if cache is not None else default_cache()).get_or_compile(
             dfg, overlay, scheduler=point.overlay.scheduler
         )
-    except (InfeasibleScheduleError, ConfigurationError) as error:
-        # An infeasible strategy/overlay pairing is a property of the grid
-        # point, not a sweep failure: report it so mixed-strategy grids
-        # (e.g. --schedulers all) keep running.  ConfigurationError covers
-        # a user-registered strategy that a spawn-started worker process
+        error = compiled.codegen_error
+    except (InfeasibleScheduleError, ConfigurationError) as infeasible:
+        error = infeasible
+    if error is not None:
+        # An infeasible strategy/overlay pairing, or a schedule that
+        # overflows the FU's register file or instruction memory, is a
+        # property of the grid point, not a sweep failure: report it so
+        # mixed-strategy grids (e.g. --schedulers all) keep running and the
+        # result store keeps the row.  ConfigurationError covers a
+        # user-registered strategy that a spawn-started worker process
         # never saw registered (register strategies at import time of a
         # module the workers import to avoid it).
         return SweepResult(

@@ -1,19 +1,18 @@
-"""Memoised frontend artefacts: token streams, ASTs and lowered DFGs.
+"""Memoised frontend artefacts: ASTs and lowered DFGs.
 
 This is the frontend half of the end-to-end compile cache (the backend half —
 schedules, programs, configuration images — lives in
-:mod:`repro.engine.cache`).  All three layers are keyed by the source content
+:mod:`repro.engine.cache`).  Both layers are keyed by the source content
 hash of :func:`repro.frontend.lexer.source_hash`:
 
 =============  =======================================  ==================
 layer          key                                      stored value
 =============  =======================================  ==================
-token stream   source hash                              ``Tuple[Token, ...]``
 AST            source hash                              :class:`KernelAST`
 lowered DFG    (source hash, name, run_optimizer)       :class:`DFG`
 =============  =======================================  ==================
 
-Tokens and ASTs are immutable and shared by reference; DFGs are mutable, so
+ASTs are immutable and shared by reference; DFGs are mutable, so
 :meth:`FrontendCache.dfg` hands out a fresh :meth:`~repro.dfg.graph.DFG.copy`
 per call.  Each layer is a bounded LRU guarded by one lock, so sweep workers
 and multi-threaded callers can share the process-wide default instance.
@@ -32,17 +31,15 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..dfg.graph import DFG
-from .lexer import Token, source_hash, tokenize_frozen
+from .cparser import lower_ast, parse_ast
+from .lexer import source_hash
 from .syntax import KernelAST
-from .cparser import lower_ast, parse_ast_from_tokens
 
 
 @dataclass
 class FrontendCacheStats:
     """Hit/miss counters per frontend layer."""
 
-    token_hits: int = 0
-    token_misses: int = 0
     ast_hits: int = 0
     ast_misses: int = 0
     dfg_hits: int = 0
@@ -50,27 +47,19 @@ class FrontendCacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total lookups across all three layers."""
-        return (
-            self.token_hits
-            + self.token_misses
-            + self.ast_hits
-            + self.ast_misses
-            + self.dfg_hits
-            + self.dfg_misses
-        )
+        """Total lookups across both layers."""
+        return self.ast_hits + self.ast_misses + self.dfg_hits + self.dfg_misses
 
     @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when never used)."""
         lookups = self.lookups
-        hits = self.token_hits + self.ast_hits + self.dfg_hits
+        hits = self.ast_hits + self.dfg_hits
         return hits / lookups if lookups else 0.0
 
     def summary(self) -> str:
         """One-line hits/lookups rendering (the CLI ``cache --stats`` row)."""
         return (
-            f"tokens {self.token_hits}/{self.token_hits + self.token_misses} hits, "
             f"ASTs {self.ast_hits}/{self.ast_hits + self.ast_misses} hits, "
             f"DFGs {self.dfg_hits}/{self.dfg_hits + self.dfg_misses} hits"
         )
@@ -93,7 +82,6 @@ class FrontendCache:
             raise ValueError("frontend cache capacity must be at least 1")
         self.capacity = capacity
         self.stats = FrontendCacheStats()
-        self._tokens: "OrderedDict[str, Tuple[Token, ...]]" = OrderedDict()
         self._asts: "OrderedDict[str, KernelAST]" = OrderedDict()
         self._dfgs: "OrderedDict[Tuple[str, Optional[str], bool], DFG]" = OrderedDict()
         self._lock = threading.Lock()
@@ -101,12 +89,11 @@ class FrontendCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._tokens) + len(self._asts) + len(self._dfgs)
+            return len(self._asts) + len(self._dfgs)
 
     def clear(self) -> None:
         """Drop every cached artefact and reset the statistics."""
         with self._lock:
-            self._tokens.clear()
             self._asts.clear()
             self._dfgs.clear()
             self.stats = FrontendCacheStats()
@@ -119,22 +106,6 @@ class FrontendCache:
     # ------------------------------------------------------------------
     # layers
     # ------------------------------------------------------------------
-    def tokens(self, source: str, key: Optional[str] = None) -> Tuple[Token, ...]:
-        """Token stream of ``source`` (lexing at most once per content hash)."""
-        key = key or source_hash(source)
-        with self._lock:
-            cached = self._tokens.get(key)
-            if cached is not None:
-                self._tokens.move_to_end(key)
-                self.stats.token_hits += 1
-                return cached
-            self.stats.token_misses += 1
-        stream = tokenize_frozen(source)
-        with self._lock:
-            self._tokens[key] = stream
-            self._trim(self._tokens, self.capacity)
-        return stream
-
     def ast(self, source: str, key: Optional[str] = None) -> KernelAST:
         """Parsed AST of ``source`` (parsing at most once per content hash)."""
         key = key or source_hash(source)
@@ -145,7 +116,7 @@ class FrontendCache:
                 self.stats.ast_hits += 1
                 return cached
             self.stats.ast_misses += 1
-        ast = parse_ast_from_tokens(self.tokens(source, key=key))
+        ast = parse_ast(source)
         with self._lock:
             self._asts[key] = ast
             self._trim(self._asts, self.capacity)

@@ -285,11 +285,6 @@ def parse_ast(source: str) -> KernelAST:
     return _Parser(tokenize(source)).parse_kernel()
 
 
-def parse_ast_from_tokens(tokens: Sequence[Token]) -> KernelAST:
-    """Parse a pre-lexed token stream (the frontend cache's entry point)."""
-    return _Parser(tokens).parse_kernel()
-
-
 # ---------------------------------------------------------------------------
 # lowering: AST -> DFG
 # ---------------------------------------------------------------------------
@@ -439,8 +434,8 @@ def parse_c_kernel(
         mirroring what the HLS frontend would produce.
 
     Repeated calls with byte-identical source hit the process-wide
-    :class:`~repro.frontend.cache.FrontendCache` — token stream, AST and the
-    lowered DFG are all memoised, and a fresh :meth:`~repro.dfg.graph.DFG.copy`
+    :class:`~repro.frontend.cache.FrontendCache` — the AST and the lowered
+    DFG are both memoised, and a fresh :meth:`~repro.dfg.graph.DFG.copy`
     is returned each time so callers can annotate/transform freely.  Any edit
     to the source changes its hash and recompiles from the stage that
     actually changed.

@@ -1,11 +1,9 @@
 """Lexer for the mini-C kernel frontend.
 
-The lexer is a pure function from source text to an immutable token tuple, so
-token streams can be memoised by source content hash and shared between every
-consumer (the parser, the frontend cache, error reporting).  Splitting it out
-of :mod:`repro.frontend.cparser` is what makes the incremental frontend
-possible: a sweep that parses the same kernel source hundreds of times pays
-for lexing exactly once.
+The lexer is a pure function from source text to a token list, kept apart
+from the parser in :mod:`repro.frontend.cparser`.  The frontend cache
+memoises the parsed AST by source content hash, so a sweep that parses the
+same kernel source hundreds of times pays for lexing exactly once.
 
 Token kinds
 -----------
@@ -31,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..errors import ParseError
 
@@ -67,10 +65,10 @@ KEYWORDS = frozenset({"int", "void", "return"})
 def source_hash(source: str) -> str:
     """Stable content hash of a kernel source text.
 
-    This is the key of every frontend-level cache (token streams, ASTs,
-    lowered DFGs) and the first component of the end-to-end compile-cache
-    key: two byte-identical sources share every cached artefact, any edit —
-    including whitespace or comments, which may shift diagnostics — misses.
+    This is the key of every frontend-level cache (ASTs, lowered DFGs) and
+    of the session's source memo: two byte-identical sources share every
+    cached artefact, and any edit — including whitespace or comments, which
+    may shift diagnostics — misses.
     """
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
@@ -108,6 +106,3 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-def tokenize_frozen(source: str) -> Tuple[Token, ...]:
-    """Tokenize into an immutable tuple, the form the frontend cache stores."""
-    return tuple(tokenize(source))

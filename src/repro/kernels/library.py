@@ -23,7 +23,7 @@ asserts this against :mod:`repro.kernels.characteristics`.
 Kernels are built lazily and cached; :func:`get_kernel` returns a fresh copy
 each call so callers can annotate/transform freely.  The mini-C kernels
 additionally flow through the content-hashed frontend cache
-(:mod:`repro.frontend.cache`), so their token streams and ASTs are shared
+(:mod:`repro.frontend.cache`), so their ASTs and lowered DFGs are shared
 with any other consumer of the same source — :func:`get_kernel_source`
 exposes the sources, and :func:`clear_kernel_cache` resets the library layer
 (the compile-path benchmark uses it to measure cold compiles).
@@ -70,9 +70,8 @@ int chebyshev(int x) {
 """
 
 
-#: Mini-C sources of the kernels defined through the C frontend.  These are
-#: the inputs of the end-to-end compile cache's source fast path — see
-#: :meth:`repro.engine.cache.ScheduleCache.get_or_compile_source`.
+#: Mini-C sources of the kernels defined through the C frontend, compiled
+#: end to end by ``Toolchain.compile(source=...)``.
 KERNEL_C_SOURCES: Dict[str, str] = {
     "gradient": GRADIENT_C_SOURCE,
     "chebyshev": CHEBYSHEV_C_SOURCE,

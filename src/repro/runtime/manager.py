@@ -201,10 +201,9 @@ class OverlayRuntime:
         This is the full ``source → AST → DFG → schedule → binary`` chain:
         the frontend stages go through the content-hashed frontend cache
         (:mod:`repro.frontend.cache`) and the mapping flow through this
-        runtime's compiled-schedule cache via its source fast path
-        (:meth:`~repro.engine.cache.ScheduleCache.get_or_compile_source`),
-        so registering unchanged source — here or in any other runtime of
-        the process — reuses every artefact without even re-hashing the DFG.
+        runtime's session, whose source memo maps unchanged source straight
+        to its cache key, so registering it again in this runtime reuses
+        every artefact without even re-hashing the DFG.
         Any edit to the source recompiles only from the stage it invalidates.
         """
         handle = self._toolchain.compile(
@@ -276,13 +275,7 @@ class OverlayRuntime:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        name: str,
-        input_blocks: Sequence[Sequence[int]],
-        num_blocks: Optional[int] = None,
-        seed: int = 0,
-    ) -> SimulationResult:
+    def execute(self, name: str, input_blocks: Sequence[Sequence[int]]) -> SimulationResult:
         """Run a data stream through the loaded kernel (loading it if needed)."""
         if self._loaded != name:
             self.load(name)

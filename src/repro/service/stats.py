@@ -136,14 +136,12 @@ def render_stats(snapshot: Dict[str, Any]) -> str:
         lines.append("shared compile cache:")
         lines.append(
             "  entries {entries}/{capacity}, hits {hits}, misses {misses}, "
-            "coalesced {coalesced}, source hits {source_hits}, "
-            "hit rate {rate:.1f}%".format(
+            "coalesced {coalesced}, hit rate {rate:.1f}%".format(
                 entries=cache.get("entries", 0),
                 capacity=cache.get("capacity", 0),
                 hits=cache.get("hits", 0),
                 misses=cache.get("misses", 0),
                 coalesced=cache.get("coalesced", 0),
-                source_hits=cache.get("source_hits", 0),
                 rate=100.0 * cache.get("hit_rate", 0.0),
             )
         )

@@ -1,21 +1,22 @@
 """End-to-end compile cache: source → AST → DFG → schedule → binary.
 
-Exercises the backend half of the compile-path overhaul: the source fast
-path of :meth:`repro.engine.cache.ScheduleCache.get_or_compile_source`, its
-interaction with the frontend cache, invalidation on source edits, and the
-wiring through :class:`repro.runtime.manager.OverlayRuntime` and
+Exercises the backend half of the compile-path overhaul: the source path of
+:meth:`repro.api.Toolchain.compile` (the session's source memo in front of
+the compiled-schedule cache), its interaction with the frontend cache,
+invalidation on source edits, and the wiring through
+:class:`repro.runtime.manager.OverlayRuntime` and
 :meth:`repro.api.Toolchain.evaluate`.
 """
 
 import pytest
 
+import repro.api
+import repro.engine.cache
+from repro.api import Toolchain, default_toolchain
 from repro.engine.cache import ScheduleCache, default_cache
-from repro.frontend.cache import FrontendCache, default_frontend_cache
-from repro.kernels.library import CHEBYSHEV_C_SOURCE, GRADIENT_C_SOURCE, get_kernel_source
 from repro.errors import KernelError
-from repro.api import default_toolchain
-from repro.overlay.architecture import LinearOverlay
-from repro.overlay.fu import get_variant
+from repro.frontend.cache import default_frontend_cache
+from repro.kernels.library import CHEBYSHEV_C_SOURCE, GRADIENT_C_SOURCE, get_kernel_source
 from repro.runtime.manager import OverlayRuntime
 from repro.specs import OverlaySpec
 
@@ -25,69 +26,100 @@ EDITED = "int triple(int a) { return a + a - a; }"
 
 
 def _v1(depth=2):
-    return LinearOverlay(variant=get_variant("v1"), depth=depth)
+    return OverlaySpec("v1", depth=depth)
+
+
+def _session(**kwargs):
+    return Toolchain(cache=ScheduleCache(**kwargs))
 
 
 class TestSourceFastPath:
     def test_cold_then_warm(self):
-        cache = ScheduleCache()
-        first = cache.get_or_compile_source(SOURCE, _v1())
-        assert cache.stats.misses == 1 and cache.stats.source_hits == 0
-        second = cache.get_or_compile_source(SOURCE, _v1())
-        assert second is first
-        assert cache.stats.source_hits == 1
-        # Warm hit bypasses the DFG-keyed layer entirely.
-        assert cache.stats.hits == 0
+        tc = _session()
+        first = tc.compile(source=SOURCE, overlay=_v1())
+        assert tc.cache.stats.misses == 1 and tc.cache.stats.hits == 0
+        second = tc.compile(source=SOURCE, overlay=_v1())
+        assert second.schedule is first.schedule
+        # A warm source compile is one memo lookup plus one hit by key.
+        assert tc.cache.stats.hits == 1
+        assert tc.cache.stats.lookups == 2
+
+    def test_warm_call_neither_lowers_nor_hashes(self, monkeypatch):
+        tc = _session()
+        tc.compile(source=SOURCE, overlay=_v1())
+        hashed = []
+        monkeypatch.setattr(repro.api, "dfg_fingerprint", hashed.append)
+        lookups = default_frontend_cache().stats.lookups
+        tc.compile(source=SOURCE, overlay=_v1())
+        assert hashed == []
+        assert default_frontend_cache().stats.lookups == lookups
+
+    def test_cold_call_lowers_once_and_hashes_once(self, monkeypatch):
+        hashed = []
+        for module in (repro.api, repro.engine.cache):
+            fingerprint = module.dfg_fingerprint
+            monkeypatch.setattr(
+                module,
+                "dfg_fingerprint",
+                lambda dfg, fingerprint=fingerprint: hashed.append(dfg) or fingerprint(dfg),
+            )
+        frontend = default_frontend_cache()
+        lowered = frontend.stats.dfg_hits + frontend.stats.dfg_misses
+        _session().compile(source="int once(int a) { return a * 7; }", overlay=_v1())
+        assert len(hashed) == 1
+        assert frontend.stats.dfg_hits + frontend.stats.dfg_misses == lowered + 1
 
     def test_distinct_overlays_are_distinct_entries(self):
-        cache = ScheduleCache()
-        a = cache.get_or_compile_source(SOURCE, _v1(2))
-        b = cache.get_or_compile_source(SOURCE, _v1(3))
-        assert a is not b
-        assert cache.stats.misses == 2
+        tc = _session()
+        a = tc.compile(source=SOURCE, overlay=_v1(2))
+        b = tc.compile(source=SOURCE, overlay=_v1(3))
+        assert a.schedule is not b.schedule
+        assert tc.cache.stats.misses == 2
 
     def test_invalidation_on_source_change(self):
-        cache = ScheduleCache()
-        before = cache.get_or_compile_source(SOURCE, _v1())
-        after = cache.get_or_compile_source(EDITED, _v1())
-        assert after is not before
-        assert cache.stats.misses == 2
+        tc = _session()
+        before = tc.compile(source=SOURCE, overlay=_v1())
+        after = tc.compile(source=EDITED, overlay=_v1())
+        assert after.schedule is not before.schedule
+        assert tc.cache.stats.misses == 2
         # And the recompiled artefacts reflect the edit.
         assert before.schedule.dfg.num_operations != 0
-        assert cache.get_or_compile_source(EDITED, _v1()) is after
+        assert tc.compile(source=EDITED, overlay=_v1()).schedule is after.schedule
 
     def test_name_override_is_part_of_the_key(self):
-        cache = ScheduleCache()
-        cache.get_or_compile_source(SOURCE, _v1(), name="one")
-        cache.get_or_compile_source(SOURCE, _v1(), name="two")
-        assert cache.stats.misses == 2
+        tc = _session()
+        tc.compile(source=SOURCE, overlay=_v1(), name="one")
+        tc.compile(source=SOURCE, overlay=_v1(), name="two")
+        assert tc.cache.stats.misses == 2
 
     def test_source_path_reuses_dfg_layer_after_clear_of_index(self):
         """A DFG-identical source still hits the DFG-keyed layer."""
-        cache = ScheduleCache()
-        cache.get_or_compile_source(SOURCE, _v1())
-        # Different text, same lowered DFG (comment only) -> source index
+        tc = _session()
+        tc.compile(source=SOURCE, overlay=_v1())
+        # Different text, same lowered DFG (comment only) -> the source memo
         # misses but the DFG content hash matches the existing entry.
         commented = "// cosmetic\n" + SOURCE
-        cache.get_or_compile_source(commented, _v1())
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        tc.compile(source=commented, overlay=_v1())
+        assert tc.cache.stats.hits == 1
+        assert tc.cache.stats.misses == 1
 
-    def test_clear_also_drops_the_source_index(self):
-        cache = ScheduleCache()
-        cache.get_or_compile_source(SOURCE, _v1())
-        cache.clear()
-        cache.get_or_compile_source(SOURCE, _v1())
-        assert cache.stats.source_hits == 0
-        assert cache.stats.misses == 1
+    def test_clear_forces_a_recompile(self):
+        tc = _session()
+        tc.compile(source=SOURCE, overlay=_v1())
+        tc.cache.clear()
+        # The session still maps the source to its key; the cache entry is
+        # gone, so the memoised DFG is compiled again.
+        handle = tc.compile(source=SOURCE, overlay=_v1())
+        assert tc.cache.stats.hits == 0
+        assert tc.cache.stats.misses == 1
+        assert handle.configuration is not None
 
     def test_disk_layer_shared_between_instances(self, tmp_path):
-        writer = ScheduleCache(disk_dir=str(tmp_path))
-        writer.get_or_compile_source(SOURCE, _v1())
-        reader = ScheduleCache(disk_dir=str(tmp_path))
-        reader.get_or_compile_source(SOURCE, _v1())
-        assert reader.stats.disk_hits == 1
-        assert reader.stats.misses == 0
+        _session(disk_dir=str(tmp_path)).compile(source=SOURCE, overlay=_v1())
+        reader = _session(disk_dir=str(tmp_path))
+        reader.compile(source=SOURCE, overlay=_v1())
+        assert reader.cache.stats.disk_hits == 1
+        assert reader.cache.stats.misses == 0
 
 
 class TestRuntimeWiring:

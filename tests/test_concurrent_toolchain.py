@@ -16,7 +16,7 @@ so this file pins the guarantees that make that safe:
   (the temp+rename pattern of ``engine/store.py``) never let a reader see
   a truncated artifact;
 * **shared-cache mechanics** — deterministic hits on a second pass, the
-  capacity bound, the source fast path, ``clear()``.
+  capacity bound, the source memo, ``clear()``.
 """
 
 import pickle
@@ -280,7 +280,7 @@ void grad(int a, int b, int c, int *out) {
         first = toolchain.compile(source=source, overlay=OverlaySpec())
         second = toolchain.compile(source=source, overlay=OverlaySpec())
         assert first.schedule is second.schedule
-        assert cache.stats.source_hits == 1
+        assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
     def test_clear_empties_everything(self):

@@ -9,7 +9,7 @@ from repro.engine.cache import (
     CompiledKernel,
     ScheduleCache,
     default_cache,
-    dfg_content_hash,
+    dfg_fingerprint,
 )
 from repro.kernels import get_kernel
 from repro.overlay.architecture import LinearOverlay
@@ -24,12 +24,12 @@ def cache():
 
 class TestContentHash:
     def test_structural_copies_hash_identically(self):
-        assert dfg_content_hash(get_kernel("gradient")) == dfg_content_hash(
+        assert dfg_fingerprint(get_kernel("gradient")) == dfg_fingerprint(
             get_kernel("gradient")
         )
 
     def test_different_kernels_hash_differently(self):
-        assert dfg_content_hash(get_kernel("gradient")) != dfg_content_hash(
+        assert dfg_fingerprint(get_kernel("gradient")) != dfg_fingerprint(
             get_kernel("qspline")
         )
 
@@ -42,7 +42,7 @@ class TestContentHash:
         assert constants, "chebyshev should carry constant nodes"
         constants[0]["value"] = int(constants[0]["value"]) + 1
         edited = from_dict(data)
-        assert dfg_content_hash(edited) != dfg_content_hash(original)
+        assert dfg_fingerprint(edited) != dfg_fingerprint(original)
 
 
 class TestScheduleCache:

@@ -13,8 +13,8 @@ down the occupancy detector's guarantees there:
   during the FIFO fill, and its skips change nothing a full run measures;
 * the removed ``detector`` knob is rejected everywhere it used to travel:
   spec dicts, ``simulate_schedule``, sweep rows, the CLI and the wire;
-* the satellite fixes: the schedule-only compile-cache path is memoised,
-  and runs too short to measure an II report ``None`` instead of crashing
+* the satellite fixes: a codegen overflow is one schedule-only cache entry
+  (scheduled once, raised fresh, coalesced, persisted), and runs too short to measure an II report ``None`` instead of crashing
   the sweep.
 """
 
@@ -257,14 +257,14 @@ class TestScheduleOnlyMemoisation:
     def test_codegen_failure_path_is_memoised(self):
         cache = ScheduleCache()
         overlay = LinearOverlay.fixed(V3, 8)
-        with pytest.raises(CodegenError):
-            cache.get_or_compile(_fat_kernel(), overlay)
-        first = cache.get_schedule(_fat_kernel(), overlay)
-        second = cache.get_schedule(_fat_kernel(), overlay)
-        # Same object: the second call hit the schedule-only index instead of
-        # rescheduling a fresh DFG copy.
+        first = cache.get_or_compile(_fat_kernel(), overlay)
+        second = cache.get_or_compile(_fat_kernel(), overlay)
+        # One schedule-only entry: the second call is a plain hit on it.
         assert first is second
-        assert cache.stats.schedule_hits == 1
+        assert isinstance(first.codegen_error, CodegenError)
+        assert first.program is None and first.configuration is None
+        assert first.warmup_bound_cycles == steady_state_warmup_bound(first.schedule) > 0
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
 
     def test_evaluate_keeps_working_for_codegen_failures(self):
         from repro.api import Toolchain
@@ -275,10 +275,135 @@ class TestScheduleOnlyMemoisation:
 
     def test_full_compile_still_preferred_when_it_succeeds(self):
         cache = ScheduleCache()
+        compiled = cache.get_or_compile(get_kernel("qspline"), LinearOverlay.fixed(V3, 8))
+        assert compiled.codegen_error is None
+        assert compiled.program is not None and compiled.configuration is not None
+
+
+class _PipelineCounter:
+    """Counts scheduler and codegen runs behind the compile cache."""
+
+    def __init__(self, monkeypatch, delay_s=0.0):
+        import time
+
+        import repro.engine.cache as cache_module
+
+        self.schedules = 0
+        self.codegens = 0
+        schedule, codegen = cache_module.schedule_kernel, cache_module.generate_program
+
+        def counted_schedule(*args, **kwargs):
+            self.schedules += 1
+            time.sleep(delay_s)
+            return schedule(*args, **kwargs)
+
+        def counted_codegen(*args, **kwargs):
+            self.codegens += 1
+            return codegen(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "schedule_kernel", counted_schedule)
+        monkeypatch.setattr(cache_module, "generate_program", counted_codegen)
+
+
+class TestOneEntryPerKey:
+    """A codegen overflow is one cache entry: scheduled once, raised fresh."""
+
+    SPEC = OverlaySpec("v3", depth=8)
+
+    def _session(self, **kwargs):
+        from repro.api import Toolchain
+
+        return Toolchain(cache=ScheduleCache(**kwargs))
+
+    def test_cold_schedule_only_compile_runs_each_stage_once(self, monkeypatch):
+        counter = _PipelineCounter(monkeypatch)
+        tc = self._session()
+        handle = tc.compile(_fat_kernel(), self.SPEC, allow_schedule_only=True)
+        assert handle.schedule_only
+        assert handle.warmup_bound_cycles == steady_state_warmup_bound(handle.schedule)
+        assert (counter.schedules, counter.codegens) == (1, 1)
+        assert tc.cache.stats.misses == 1
+
+    def test_strict_compile_raises_a_fresh_error_without_rescheduling(self, monkeypatch):
+        import traceback
+
+        counter = _PipelineCounter(monkeypatch)
+        tc = self._session()
+        handle = tc.compile(_fat_kernel(), self.SPEC, allow_schedule_only=True)
+        stored = tc.cache.peek(handle.key).codegen_error
+        raised = []
+        for _ in range(2):
+            with pytest.raises(CodegenError) as info:
+                tc.compile(_fat_kernel(), self.SPEC)
+            raised.append(info.value)
+        assert (counter.schedules, counter.codegens) == (1, 1)
+        for error in raised:
+            assert type(error) is type(stored) and str(error) == str(stored)
+            assert error is not stored
+        assert raised[0] is not raised[1]
+        depths = [len(traceback.extract_tb(e.__traceback__)) for e in raised]
+        assert depths[0] == depths[1]
+        assert stored.__traceback__ is None
+
+    def test_concurrent_compiles_coalesce_onto_one_pipeline_run(self, monkeypatch):
+        import threading
+
+        K = 6
+        counter = _PipelineCounter(monkeypatch, delay_s=0.2)
+        tc = self._session()
+        barrier = threading.Barrier(K)
+        handles = [None] * K
+
+        def worker(index):
+            barrier.wait()
+            handles[index] = tc.compile(_fat_kernel(), self.SPEC, allow_schedule_only=True)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(K)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (counter.schedules, counter.codegens) == (1, 1)
+        assert all(handle.schedule_only for handle in handles)
+        assert len({id(handle.schedule) for handle in handles}) == 1
+        stats = tc.cache.stats
+        assert stats.misses == 1 and stats.hits + stats.coalesced == K - 1
+
+    def test_schedule_only_entry_survives_a_disk_round_trip(self, monkeypatch, tmp_path):
+        writer = self._session(disk_dir=str(tmp_path))
+        with pytest.raises(CodegenError) as original:
+            writer.compile(_fat_kernel(), self.SPEC)
+        counter = _PipelineCounter(monkeypatch)
+        reader = self._session(disk_dir=str(tmp_path))
+        with pytest.raises(CodegenError) as reloaded:
+            reader.compile(_fat_kernel(), self.SPEC)
+        assert type(reloaded.value) is type(original.value)
+        assert str(reloaded.value) == str(original.value)
+        handle = reader.compile(_fat_kernel(), self.SPEC, allow_schedule_only=True)
+        assert handle.schedule_only
+        assert handle.warmup_bound_cycles == steady_state_warmup_bound(handle.schedule)
+        assert (counter.schedules, counter.codegens) == (0, 0)
+        assert reader.cache.stats.disk_hits == 1 and reader.cache.stats.misses == 0
+
+    def test_old_pickle_without_codegen_error_loads_as_a_full_entry(self, tmp_path):
+        import pickle
+
+        from repro.engine.cache import CacheKey
+
+        dfg = get_kernel("qspline")
         overlay = LinearOverlay.fixed(V3, 8)
-        compiled = cache.get_or_compile(get_kernel("qspline"), overlay)
-        schedule = cache.get_schedule(get_kernel("qspline"), overlay)
-        assert schedule is compiled.schedule
+        entry = ScheduleCache().get_or_compile(dfg, overlay)
+        # What a pickle written before the field existed carries.
+        del entry.__dict__["codegen_error"]
+        key = CacheKey.for_mapping(dfg, overlay)
+        with open(tmp_path / key.filename(), "wb") as handle:
+            pickle.dump(entry, handle)
+        reader = self._session(disk_dir=str(tmp_path))
+        handle = reader.compile(dfg, OverlaySpec("v3", depth=8))
+        assert reader.cache.stats.disk_hits == 1
+        assert not handle.schedule_only
+        assert reader.cache.get_or_compile(dfg, overlay).codegen_error is None
 
 
 class TestUnmeasurableII:

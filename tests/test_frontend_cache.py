@@ -1,4 +1,4 @@
-"""Incremental frontend: token/AST/DFG caching and content-hash invalidation.
+"""Incremental frontend: AST/DFG caching and content-hash invalidation.
 
 Covers the satellite requirement "AST/compile-cache hit/miss and
 invalidation-on-source-change tests" for the frontend half of the chain; the
@@ -47,25 +47,6 @@ class TestAstFingerprint:
         assert ast_fingerprint(parse_ast(SOURCE)) != ast_fingerprint(parse_ast(EDITED))
 
 
-class TestTokenLayer:
-    def test_hit_on_repeat_miss_on_edit(self):
-        cache = FrontendCache()
-        first = cache.tokens(SOURCE)
-        again = cache.tokens(SOURCE)
-        assert again is first
-        assert cache.stats.token_hits == 1 and cache.stats.token_misses == 1
-        cache.tokens(EDITED)
-        assert cache.stats.token_misses == 2
-
-    def test_lru_eviction(self):
-        cache = FrontendCache(capacity=2)
-        cache.tokens("int a(int x) { return x; }")
-        cache.tokens("int b(int x) { return x; }")
-        cache.tokens("int c(int x) { return x; }")
-        cache.tokens("int a(int x) { return x; }")  # evicted -> miss again
-        assert cache.stats.token_misses == 4
-
-
 class TestAstLayer:
     def test_ast_cached_and_shared(self):
         cache = FrontendCache()
@@ -73,12 +54,34 @@ class TestAstLayer:
         assert cache.ast(SOURCE) is first
         assert cache.stats.ast_hits == 1
 
-    def test_ast_hit_skips_lexing(self):
+    def test_hit_on_repeat_miss_on_edit(self):
         cache = FrontendCache()
         cache.ast(SOURCE)
-        lex_misses = cache.stats.token_misses
         cache.ast(SOURCE)
-        assert cache.stats.token_misses == lex_misses
+        assert cache.stats.ast_hits == 1 and cache.stats.ast_misses == 1
+        cache.ast(EDITED)
+        assert cache.stats.ast_misses == 2
+
+    def test_lru_eviction(self):
+        cache = FrontendCache(capacity=2)
+        cache.ast("int a(int x) { return x; }")
+        cache.ast("int b(int x) { return x; }")
+        cache.ast("int c(int x) { return x; }")
+        cache.ast("int a(int x) { return x; }")  # evicted -> miss again
+        assert cache.stats.ast_misses == 4
+
+    def test_ast_hit_skips_lexing(self, monkeypatch):
+        import repro.frontend.cparser as cparser
+
+        lexed = []
+        tokenize = cparser.tokenize
+        monkeypatch.setattr(
+            cparser, "tokenize", lambda source: lexed.append(source) or tokenize(source)
+        )
+        cache = FrontendCache()
+        cache.ast(SOURCE)
+        cache.ast(SOURCE)
+        assert lexed == [SOURCE]
 
     def test_source_edit_invalidates(self):
         cache = FrontendCache()

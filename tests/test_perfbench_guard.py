@@ -56,3 +56,31 @@ def test_batched_spelling_survives_spec_construction():
 
 def test_cache_keeps_get_batch_plan():
     assert callable(getattr(ScheduleCache, "get_batch_plan", None))
+
+
+def test_sweep_keeps_the_names_perfbench_patches():
+    # sim-long swaps simulate_schedule_with; the tracer wraps run_point.
+    from repro.engine import sweep
+
+    assert callable(getattr(sweep, "simulate_schedule_with", None))
+    assert callable(getattr(sweep, "run_point", None))
+
+
+def test_cache_keeps_the_pipeline_globals_the_tracer_patches():
+    import repro.engine.cache as cache_module
+
+    for name in ("dfg_fingerprint", "schedule_kernel", "generate_program", "build_configuration_image"):
+        assert callable(getattr(cache_module, name, None)), name
+
+
+def test_cache_stats_keep_the_counters_the_hit_ratio_needs():
+    from repro.api import Toolchain
+
+    toolchain = Toolchain(cache=ScheduleCache())
+    toolchain.compile("gradient", OverlaySpec("v1"))
+    toolchain.compile("gradient", OverlaySpec("v1"))
+    stats = toolchain.cache_stats()
+    for name in ("lookups", "misses", "coalesced"):
+        value = stats[name]
+        assert isinstance(value, int) and not isinstance(value, bool), name
+    assert stats["lookups"] == 2 and stats["misses"] == 1

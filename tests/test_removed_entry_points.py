@@ -70,3 +70,39 @@ def test_deprecation_warnings_fail_the_suite():
     # deprecated path cannot slip in unnoticed.
     with pytest.raises(DeprecationWarning):
         warnings.warn("deprecated", DeprecationWarning)
+
+
+def test_cache_has_no_side_indexes():
+    from repro.engine.cache import CacheStats, ScheduleCache
+
+    cache = ScheduleCache()
+    for name in ("get_schedule", "get_or_compile_source", "_schedule_index", "_source_index"):
+        assert not hasattr(cache, name), name
+    for name in ("schedule_hits", "source_hits"):
+        assert not hasattr(CacheStats(), name), name
+        assert name not in CacheStats().as_dict()
+
+
+def test_dfg_content_hash_alias_is_gone():
+    import repro.engine
+    import repro.engine.cache
+
+    for module in (repro.engine, repro.engine.cache):
+        assert not hasattr(module, "dfg_content_hash")
+
+
+def test_frontend_cache_has_no_token_layer():
+    from repro.frontend import FrontendCache, FrontendCacheStats
+
+    assert not hasattr(FrontendCache(), "tokens")
+    assert not hasattr(FrontendCacheStats(), "token_hits")
+    assert not hasattr(FrontendCacheStats(), "token_misses")
+
+
+def test_runtime_execute_takes_no_dead_options():
+    runtime = OverlayRuntime(OverlaySpec("v1"))
+    runtime.register("gradient")
+    with pytest.raises(TypeError):
+        runtime.execute("gradient", [[1, 2, 3]], num_blocks=4)
+    with pytest.raises(TypeError):
+        runtime.execute("gradient", [[1, 2, 3]], seed=1)

@@ -180,6 +180,24 @@ class TestResume:
         assert probe.stats.hits == 1
         assert second.error == first.error
 
+    def test_codegen_overflow_rows_are_stored_and_resume(self, tmp_path):
+        # poly6 schedules on a depth-4 V3 but needs more rotating registers
+        # than the FU has: a deterministic error row on the first attempt,
+        # not a fault that is retried, quarantined and never stored.
+        grid = build_grid(
+            ["poly6"],
+            overlays=[OverlaySpec("v3", depth=4, fifo_depth=4, scheduler="clustered")],
+        )
+        store = ResultStore(str(tmp_path))
+        [first] = run_sweep(grid, jobs=1, store=store, cache=ScheduleCache())
+        assert "rotating register" in first.error
+        assert first.attempts == 1 and not first.quarantined
+        assert store.stats.writes == 1
+        probe = ResultStore(str(tmp_path))
+        [second] = run_sweep(grid, jobs=1, store=probe, cache=ScheduleCache())
+        assert probe.stats.hits == 1
+        assert second.error == first.error
+
 
 class TestSpecAndSessionPlumbing:
     def test_sweep_spec_store_dir_round_trips(self, tmp_path):

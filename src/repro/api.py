@@ -20,8 +20,8 @@ the CLI all go through this facade; knobs travel exclusively inside
 :class:`~repro.specs.SweepSpec` objects.
 
 Two :class:`Toolchain` instances with separately injected caches share no
-compiled state: handles, memoised analytic evaluations and compiled
-artifacts are all scoped to the session's cache.
+compiled state: compiled artifacts and the verdicts and analytic results
+kept on them are all scoped to the session's cache.
 """
 
 from __future__ import annotations
@@ -33,39 +33,46 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .dfg.graph import DFG
 from .dfg.serialize import dfg_fingerprint
-from .engine.cache import CacheKey, ScheduleCache, default_cache
+from .engine.cache import CacheKey, CompiledKernel, ScheduleCache, default_cache
 from .errors import ConfigurationError, VerificationError
 from .kernels.library import get_kernel
 from .metrics.models import ModelPrediction, PerformanceModel, resolve_model
 from .metrics.performance import PerformanceResult, analytic_performance
 from .overlay.architecture import LinearOverlay
-from .program.binary import ConfigurationImage
-from .program.codegen import OverlayProgram
-from .schedule.types import OverlaySchedule
 from .sim.overlay import SimulationResult, simulate_schedule_with
 from .specs import OverlaySpec, SimSpec, SweepSpec
+
+
+def _entry_field(name: str) -> property:
+    """A read-only view of one field of a handle's cache entry."""
+    return property(lambda handle: getattr(handle.entry, name))
 
 
 @dataclass
 class CompiledHandle:
     """A spec-keyed compiled kernel, handed out by :meth:`Toolchain.compile`.
 
-    ``program`` and ``configuration`` are ``None`` only for schedule-only
-    handles (kernels that schedule fine but exceed the variant's register
-    file or instruction memory: the cache entry's ``codegen_error`` is set;
-    see ``allow_schedule_only``) — those still
-    evaluate analytically and simulate (the simulator runs from the
-    schedule), but have no binary to load onto a runtime.
+    The handle pairs the session's view (DFG, built overlay, resolved spec,
+    key) with the cache ``entry`` it reads ``schedule`` / ``program`` /
+    ``configuration`` / ``warmup_bound_cycles`` from.  ``program`` and
+    ``configuration`` are ``None`` only for schedule-only handles (kernels
+    that schedule fine but exceed the variant's register file or
+    instruction memory: the entry's ``error`` is set; see
+    ``allow_schedule_only``) — those still evaluate analytically and
+    simulate (the simulator runs from the schedule), but have no binary to
+    load onto a runtime.
     """
 
     dfg: DFG
     overlay: LinearOverlay
     spec: OverlaySpec
-    schedule: OverlaySchedule
-    program: Optional[OverlayProgram]
-    configuration: Optional[ConfigurationImage]
     key: CacheKey
-    warmup_bound_cycles: int = 0
+    entry: CompiledKernel
+
+    schedule = _entry_field("schedule")
+    program = _entry_field("program")
+    configuration = _entry_field("configuration")
+    warmup_bound_cycles = _entry_field("warmup_bound_cycles")
 
     @property
     def schedule_only(self) -> bool:
@@ -97,7 +104,6 @@ class Toolchain:
         #: compiled artifacts themselves always come from the injected cache,
         #: so its statistics and ``clear()`` stay truthful.
         self._resolved: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-        self._analytic: "OrderedDict[CacheKey, PerformanceResult]" = OrderedDict()
         #: (cache key, model cache token, sim spec) -> ModelPrediction.  The
         #: model's *cache token* (not just its name) is part of the key, so a
         #: calibrated model's fitted state never serves stale predictions.
@@ -120,17 +126,40 @@ class Toolchain:
         """Compile a kernel (library name, DFG, or mini-C ``source``).
 
         Goes through the session cache, so a warm call is a dictionary
-        lookup.  With ``allow_schedule_only=True``, kernels whose codegen
-        overflows the register file / instruction memory come back as
-        schedule-only handles; without it they raise
-        :class:`~repro.errors.CodegenError`, from the cached schedule-only
-        entry when the key was compiled before.  With ``check=True``, the
-        compiled artifact is run through the static verification passes
-        (:mod:`repro.verify`) and an error diagnostic raises
-        :class:`~repro.errors.VerificationError`; artifacts produced by a
-        *third-party* scheduler strategy are checked this way on every
-        compile regardless (verdicts are cached alongside the artifact, so
+        lookup.  A kernel the strategy cannot map raises
+        :class:`~repro.errors.InfeasibleScheduleError`.  With
+        ``allow_schedule_only=True``, kernels whose codegen overflows the
+        register file / instruction memory come back as schedule-only
+        handles; without it they raise :class:`~repro.errors.CodegenError`.
+        Either error is raised fresh from the key's cached entry, so a
+        repeat compile of a failing key runs no scheduler.  With
+        ``check=True``, the compiled artifact is run through the static
+        verification passes (:mod:`repro.verify`) and an error diagnostic
+        raises :class:`~repro.errors.VerificationError`; artifacts produced
+        by a *third-party* scheduler strategy are checked this way on every
+        compile regardless (the verdict is kept on the cache entry, so
         warm compiles re-verify nothing — see ``docs/verify.md``).
+        """
+        handle = self._handle(kernel, overlay, source=source, name=name)
+        error = handle.entry.error
+        if error is not None and (handle.schedule is None or not allow_schedule_only):
+            # A fresh exception per raise: re-raising the cached object would
+            # grow its traceback every time.
+            raise type(error)(*error.args)
+        return self._checked(handle, check)
+
+    def _handle(
+        self,
+        kernel: Union[str, DFG, None],
+        overlay: OverlaySpec,
+        *,
+        source: Optional[str] = None,
+        name: Optional[str] = None,
+    ) -> CompiledHandle:
+        """The handle of the key's cache entry, whatever its outcome.
+
+        Never raises the entry's ``error``: :meth:`compile` decides whether
+        a caller gets it, and the sweep runner reports it as a row.
         """
         if not isinstance(overlay, OverlaySpec):
             raise ConfigurationError(
@@ -146,23 +175,8 @@ class Toolchain:
         else:
             dfg = get_kernel(kernel) if isinstance(kernel, str) else kernel
             built, resolved, key = self._resolve(dfg, overlay)
-        compiled = self.cache.get_or_compile_keyed(key, dfg, built)
-        error = compiled.codegen_error
-        if error is not None and not allow_schedule_only:
-            # A fresh exception per raise: re-raising the cached object would
-            # grow its traceback every time.
-            raise type(error)(*error.args)
-        handle = CompiledHandle(
-            dfg=dfg,
-            overlay=built,
-            spec=resolved,
-            schedule=compiled.schedule,
-            program=compiled.program,
-            configuration=compiled.configuration,
-            key=key,
-            warmup_bound_cycles=compiled.warmup_bound_cycles,
-        )
-        return self._checked(handle, check)
+        entry = self.cache.get_or_compile_keyed(key, dfg, built)
+        return CompiledHandle(dfg=dfg, overlay=built, spec=resolved, key=key, entry=entry)
 
     def _resolve_source(
         self, source: str, spec: OverlaySpec, name: Optional[str]
@@ -199,32 +213,14 @@ class Toolchain:
         entry = self._recall(self._resolved, rkey)
         if entry is not None:
             return entry
-        from .schedule.registry import resolve_strategy_name
-
-        built = spec.build_overlay(dfg)
-        entry = (
-            built,
-            OverlaySpec(
-                variant=spec.variant,
-                depth=built.depth,
-                fixed=built.fixed_depth,
-                fifo_depth=spec.fifo_depth,
-                scheduler=spec.scheduler,
-            ),
-            # The key canonicalises the strategy ("auto" -> the concrete
-            # strategy its dispatch selects), so the default shares cache
-            # entries with an explicit "linear"/"clustered" compile; the
-            # resolved spec keeps the requested name.
-            CacheKey(
-                kernel_name=dfg.name,
-                dfg_hash=fingerprint,
-                variant_name=built.variant.name,
-                depth=built.depth,
-                fixed_depth=built.fixed_depth,
-                fifo_depth=built.fifo_depth,
-                scheduler=resolve_strategy_name(spec.scheduler, built),
-            ),
-        )
+        resolved = spec.resolve(dfg)
+        built = resolved.build_overlay()  # concrete: no second sizing walk
+        # The key canonicalises the strategy ("auto" -> the concrete
+        # strategy its dispatch selects), so the default shares cache
+        # entries with an explicit "linear"/"clustered" compile; the
+        # resolved spec keeps the requested name.
+        key = CacheKey.for_mapping(dfg, built, spec.scheduler, fingerprint)
+        entry = (built, resolved, key)
         self._remember(self._resolved, rkey, entry)
         return entry
 
@@ -258,23 +254,22 @@ class Toolchain:
 
         Returns the :class:`~repro.verify.VerifyReport` (never raises on
         diagnostics — callers decide; ``compile(check=True)`` is the raising
-        wrapper).  Full-suite verdicts (``passes=None``) are cached on the
-        artifact's cache key, so re-verifying a warm artifact is a
-        dictionary lookup; pass ``use_cache=False`` to force a re-run, or
-        ``passes=[...]`` to run a subset (never cached).
+        wrapper).  The full-suite verdict (``passes=None``) is kept on the
+        handle's cache entry, so re-verifying a warm artifact is an
+        attribute read; pass ``use_cache=False`` to force a re-run, or
+        ``passes=[...]`` to run a subset (never kept).
         """
         from .verify import VerifyContext, run_passes
 
         if not isinstance(handle, CompiledHandle):
             raise ConfigurationError("verify() takes a handle from compile()")
+        entry = handle.entry
         cacheable = passes is None and use_cache
-        if cacheable:
-            report = self.cache.get_verdict(handle.key)
-            if report is not None:
-                return report
+        if cacheable and entry.verdict is not None:
+            return entry.verdict
         report = run_passes(VerifyContext.from_handle(handle), passes=passes)
         if cacheable:
-            self.cache.store_verdict(handle.key, report)
+            entry.verdict = report
         return report
 
     def _checked(self, handle: CompiledHandle, check: bool) -> CompiledHandle:
@@ -283,8 +278,8 @@ class Toolchain:
         ``check=True`` verifies explicitly; artifacts from third-party
         scheduler strategies (anything :func:`~repro.schedule.registry.
         register_scheduler` added beyond the built-ins) are verified on
-        first compile even without ``check`` — the cached verdict makes
-        every later compile of the same artifact free.
+        first compile even without ``check`` — the verdict on the entry
+        makes every later compile of the same artifact free.
         """
         from .schedule.registry import is_builtin_scheduler
 
@@ -312,10 +307,10 @@ class Toolchain:
         """Analytic performance of a compiled kernel (Fig. 6 quantities).
 
         The analytic evaluation (resource estimate, ASAP levels / kernel
-        depth, II, latency model) is memoised on the spec-keyed compiled
-        artifact, so a warm call copies a cached result and does no graph
-        work.  Pass ``sim=SimSpec(...)`` to additionally measure II/latency
-        in the simulator and verify against the golden reference.
+        depth, II, latency model) is kept on the handle's cache entry, so a
+        warm call copies it and does no graph work.  Pass
+        ``sim=SimSpec(...)`` to additionally measure II/latency in the
+        simulator and verify against the golden reference.
 
         Accepts a handle from :meth:`compile`, or a kernel plus an
         ``overlay`` spec (compiled on the fly, schedule-only fallback
@@ -330,11 +325,12 @@ class Toolchain:
             raise ConfigurationError(
                 "pass an overlay spec only when evaluating a kernel, not a handle"
             )
-        proto = self._recall(self._analytic, handle.key)
-        if proto is None:
-            proto = analytic_performance(handle.dfg, handle.overlay, handle.schedule)
-            self._remember(self._analytic, handle.key, proto)
-        result = replace(proto)
+        entry = handle.entry
+        if entry.analytic is None:
+            entry.analytic = analytic_performance(
+                handle.dfg, handle.overlay, handle.schedule
+            )
+        result = replace(entry.analytic)
         if sim is not None:
             _merge_measured(result, self.simulate(handle, sim))
         return result

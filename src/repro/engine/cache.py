@@ -30,25 +30,29 @@ overlay service hammers one shared instance from a whole thread pool).  All
 bookkeeping runs under one internal lock, and misses **coalesce**: when N
 threads request the same key at once, exactly one runs the compile pipeline
 while the other N-1 block on the in-flight entry and receive the identical
-:class:`CompiledKernel` object (counted in ``stats.coalesced``).  A failed
-in-flight compile propagates its exception to every waiter.  The lock is
-held only for dictionary operations — compiles run outside it — so one
-instance serves a whole thread pool without lock striping.
+:class:`CompiledKernel` object (counted in ``stats.coalesced``).  An
+exception the cache does not store (see below) propagates to every waiter.
+The lock is held only for dictionary operations — compiles run outside
+it — so one instance serves a whole thread pool without lock striping.
 
-Codegen overflows
------------------
-Some kernels schedule fine but overflow the FU's rotating register file or
-instruction memory during codegen.  Their entry is **schedule-only**: the
-schedule and its warm-up bound, no program or configuration image, and the
-:class:`~repro.errors.CodegenError` codegen raised in ``codegen_error``.
-The cache stores it (and writes it to disk) like any other entry and never
-raises it; :meth:`repro.api.Toolchain.compile` decides whether a caller
-gets the schedule-only handle or the error.  So a kernel that schedules
-runs the scheduler once per key, whatever codegen makes of it.
+One record per key
+------------------
+A key has one :class:`CompiledKernel` whatever the mapping flow made of it,
+so the scheduler runs once per key.  A codegen overflow (register file or
+instruction memory) is a **schedule-only** entry and an unmappable kernel
+an **infeasible** one (no schedule either); the
+:class:`~repro.errors.CodegenError` / :class:`~repro.errors.InfeasibleScheduleError`
+sits in ``error``.  The cache stores them (on disk too) and never raises
+them, so coalesced waiters get the entry;
+:meth:`repro.api.Toolchain.compile` is the one place that raises.  Any
+other exception reaches every waiter and is not cached.  The verify verdict
+and the analytic result are written onto the entry on first use and never
+pickled (an entry is written to disk before any other thread can see it).
 
 Compiled artifacts are treated as immutable by every consumer (simulator,
-codegen listings, context-switch accounting), which is what makes sharing a
-single instance across runtimes and sweep points safe.
+codegen listings, context-switch accounting) — only the write-once derived
+results are ever set — which is what makes sharing a single instance across
+runtimes and sweep points safe.
 """
 
 from __future__ import annotations
@@ -64,12 +68,18 @@ from typing import Optional
 
 from ..dfg.graph import DFG
 from ..dfg.serialize import dfg_fingerprint
-from ..errors import CodegenError
+from ..errors import CodegenError, InfeasibleScheduleError, ReproError
 from ..overlay.architecture import LinearOverlay
 from ..program.binary import ConfigurationImage, build_configuration_image
 from ..program.codegen import OverlayProgram, generate_program
 from ..schedule import schedule_kernel
 from ..schedule.types import OverlaySchedule
+
+
+#: Layout version of a pickled :class:`CompiledKernel`, part of every disk
+#: filename so a pickle of another layout is never opened.  Bump it
+#: whenever the entry's fields change.
+PICKLE_LAYOUT = 2
 
 
 @dataclass(frozen=True)
@@ -95,13 +105,19 @@ class CacheKey:
 
     @classmethod
     def for_mapping(
-        cls, dfg: DFG, overlay: LinearOverlay, scheduler: str = "auto"
+        cls,
+        dfg: DFG,
+        overlay: LinearOverlay,
+        scheduler: str = "auto",
+        fingerprint: Optional[str] = None,
     ) -> "CacheKey":
+        """The key of a mapping; ``fingerprint`` is ``dfg_fingerprint(dfg)``
+        when the caller has already computed it."""
         from ..schedule.registry import resolve_strategy_name
 
         return cls(
             kernel_name=dfg.name,
-            dfg_hash=dfg_fingerprint(dfg),
+            dfg_hash=fingerprint if fingerprint is not None else dfg_fingerprint(dfg),
             variant_name=overlay.variant.name,
             depth=overlay.depth,
             fixed_depth=overlay.fixed_depth,
@@ -110,35 +126,45 @@ class CacheKey:
         )
 
     def filename(self) -> str:
-        """Stable on-disk name for the pickle layer."""
+        """Stable on-disk name for the pickle layer (carries the layout)."""
         digest = hashlib.sha256(
             f"{self.kernel_name}|{self.dfg_hash}|{self.variant_name}|"
             f"{self.depth}|{self.fixed_depth}|{self.fifo_depth}|"
             f"{self.scheduler}".encode("utf-8")
         ).hexdigest()[:32]
-        return f"{self.kernel_name}-{self.variant_name}-{digest}.pkl"
+        return f"{self.kernel_name}-{self.variant_name}-{digest}.v{PICKLE_LAYOUT}.pkl"
 
 
 @dataclass
 class CompiledKernel:
-    """The output of the ahead-of-time mapping flow for one kernel.
+    """Everything the tool flow knows about one compile key.
 
-    ``program`` and ``configuration`` are ``None`` only for schedule-only
-    entries, whose ``codegen_error`` holds the codegen failure.
+    A full entry has a schedule, the FU programs and the configuration
+    image.  ``error`` is set on the two failed outcomes: a schedule-only
+    entry (:class:`~repro.errors.CodegenError`; ``program`` and
+    ``configuration`` are ``None``) and an infeasible entry
+    (:class:`~repro.errors.InfeasibleScheduleError`; ``schedule`` is
+    ``None`` too).
     """
 
-    schedule: OverlaySchedule
+    schedule: Optional[OverlaySchedule]
     program: Optional[OverlayProgram]
     configuration: Optional[ConfigurationImage]
     #: Analytic steady-state warm-up bound W(depth, fifo_depth, II) in
     #: cycles (:func:`repro.engine.fastsim.steady_state_warmup_bound`),
-    #: computed once at compile time so sweeps and runtimes can cap the
-    #: fast engine's fingerprint table without re-deriving it per run.
+    #: computed once at compile time and reported on handles and service
+    #: rows; the SPEC003/SPEC004 checks verify it.  The fast engine derives
+    #: its own bound per run and does not read this one.
     warmup_bound_cycles: int = 0
-    #: Why codegen failed (register file or instruction memory overflow),
-    #: or ``None`` for a full entry.  Pickles written before this field
-    #: existed load with the class default, i.e. as full entries.
-    codegen_error: Optional[CodegenError] = None
+    #: Why the flow stopped short of a full entry, or ``None``.
+    error: Optional[ReproError] = None
+    #: Write-once derived results, filled in on first use by
+    #: :meth:`repro.api.Toolchain.verify` (the full-suite
+    #: ``repro.verify.VerifyReport``) and :meth:`repro.api.Toolchain.evaluate`
+    #: (the analytic ``PerformanceResult``).  A race computes the same value
+    #: twice, never a different one.
+    verdict: Optional[object] = None
+    analytic: Optional[object] = None
 
 
 @dataclass
@@ -204,10 +230,6 @@ class ScheduleCache:
         self.disk_dir = disk_dir if disk_dir is not None else os.environ.get("REPRO_CACHE_DIR")
         self.stats = CacheStats()
         self._entries: "OrderedDict[CacheKey, CompiledKernel]" = OrderedDict()
-        #: Static-verification verdicts (``repro.verify.VerifyReport``) keyed
-        #: by compile key, so warm compile paths never re-run the passes.
-        #: Verdicts live and die with the entries: ``clear()`` drops them.
-        self._verdicts: "OrderedDict[CacheKey, object]" = OrderedDict()
         #: In-flight compiles by key: concurrent misses on one key coalesce
         #: onto a single pipeline run (see the module docstring).
         self._inflight: "dict[CacheKey, _InflightCompile]" = {}
@@ -218,30 +240,10 @@ class ScheduleCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry and verdict and reset the statistics."""
+        """Drop every entry and reset the statistics."""
         with self._lock:
             self._entries.clear()
-            self._verdicts.clear()
             self.stats = CacheStats()
-
-    # ------------------------------------------------------------------
-    # verification verdicts
-    # ------------------------------------------------------------------
-    def get_verdict(self, key: CacheKey):
-        """The cached verification verdict for ``key`` (None on a miss)."""
-        with self._lock:
-            verdict = self._verdicts.get(key)
-            if verdict is not None:
-                self._verdicts.move_to_end(key)
-            return verdict
-
-    def store_verdict(self, key: CacheKey, report) -> None:
-        """Remember a verification verdict (LRU-bounded like the entries)."""
-        with self._lock:
-            self._verdicts[key] = report
-            self._verdicts.move_to_end(key)
-            while len(self._verdicts) > self.capacity:
-                self._verdicts.popitem(last=False)
 
     # ------------------------------------------------------------------
     def get_or_compile(
@@ -251,7 +253,8 @@ class ScheduleCache:
 
         ``scheduler`` selects the registered scheduling strategy; every
         strategy has its own cache entries (it is part of the key).  A
-        codegen overflow comes back as a schedule-only entry, not an error.
+        codegen overflow or an infeasible schedule comes back as an entry
+        with ``error`` set, not as an exception.
         """
         key = CacheKey.for_mapping(dfg, overlay, scheduler)
         return self.get_or_compile_keyed(key, dfg, overlay)
@@ -263,7 +266,8 @@ class ScheduleCache:
 
         The session API (:meth:`repro.api.Toolchain.compile`) memoises the
         :class:`CacheKey` per (DFG fingerprint, overlay spec) and per
-        source, and uses this entry so a warm compile hashes no DFG twice.
+        source, and uses this entry point so a warm compile hashes no DFG
+        twice.
         """
         with self._lock:
             cached = self._entries.get(key)
@@ -314,10 +318,11 @@ class ScheduleCache:
 
         Returns the :class:`repro.engine.batchsim.BatchPlan` that the fast
         engine memoises per schedule (building it if this is its first
-        use), or ``None`` when the key has no in-memory entry.
+        use), or ``None`` when the key has no in-memory entry or its entry
+        has no schedule.
         """
         entry = self.peek(key)
-        if entry is None:
+        if entry is None or entry.schedule is None:
             return None
         from .batchsim import plan_for
 
@@ -328,8 +333,8 @@ class ScheduleCache:
     ) -> CompiledKernel:
         """Disk lookup, then the mapping pipeline (the leader's path).
 
-        The scheduler runs once; a :class:`~repro.errors.CodegenError` from
-        the codegen or binary stage makes a schedule-only entry.
+        The scheduler runs once; an infeasible schedule or a codegen
+        overflow makes an entry with ``error`` set.
         """
         from_disk = self._load_from_disk(key)
         if from_disk is not None:
@@ -340,26 +345,29 @@ class ScheduleCache:
 
         from .fastsim import steady_state_warmup_bound
 
-        schedule = schedule_kernel(dfg, overlay, scheduler=key.scheduler)
-        program = configuration = error = None
+        schedule = program = configuration = error = None
         try:
+            schedule = schedule_kernel(dfg, overlay, scheduler=key.scheduler)
             program = generate_program(schedule)
             configuration = build_configuration_image(schedule, program)
-        except CodegenError as overflow:
+        except (InfeasibleScheduleError, CodegenError) as failure:
             program = None
             # The entry outlives this frame: keep the error, not its traceback.
-            error = overflow.with_traceback(None)
+            error = failure.with_traceback(None)
         compiled = CompiledKernel(
             schedule=schedule,
             program=program,
             configuration=configuration,
-            warmup_bound_cycles=steady_state_warmup_bound(schedule),
-            codegen_error=error,
+            warmup_bound_cycles=(
+                0 if schedule is None else steady_state_warmup_bound(schedule)
+            ),
+            error=error,
         )
+        # Written before it is published, so no derived result is pickled.
+        self._save_to_disk(key, compiled)
         with self._lock:
             self.stats.misses += 1
             self._store(key, compiled)
-        self._save_to_disk(key, compiled)
         return compiled
 
     # ------------------------------------------------------------------
@@ -385,14 +393,7 @@ class ScheduleCache:
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError):
             # ImportError: a stale entry naming a module that has moved.
             return None
-        if not isinstance(compiled, CompiledKernel):
-            return None
-        if not getattr(compiled, "warmup_bound_cycles", 0):
-            # Entry pickled before warm-up bounds existed: backfill it.
-            from .fastsim import steady_state_warmup_bound
-
-            compiled.warmup_bound_cycles = steady_state_warmup_bound(compiled.schedule)
-        return compiled
+        return compiled if isinstance(compiled, CompiledKernel) else None
 
     def _save_to_disk(self, key: CacheKey, compiled: CompiledKernel) -> None:
         path = self._disk_path(key)

@@ -33,9 +33,10 @@ fixed-depth overlay (V3-V5) ends — and the bounded-FIFO occupancy argument
 still ramping: the engine tracks, per channel and per detection window, the
 minimum occupancy at consumer emptiness checks and the maximum pressure at
 producer backpressure checks, and only jumps as many periods as keep every
-threshold outcome unchanged.  The analytic warm-up bound
-:func:`steady_state_warmup_bound` caps the fingerprint table and serves as a
-cross-check oracle in the test suite.
+threshold outcome unchanged.  Each run derives the analytic warm-up bound
+from its schedule (:func:`warmup_bound_blocks`) to cap the fingerprint
+table; the same bound in cycles, :func:`steady_state_warmup_bound`, is the
+test suite's cross-check oracle and the figure compiled kernels report.
 
 Because timing never looks at values, a multi-lane (V2-style) run executes
 one timing run per *distinct lane length* — round-robin dealing leaves at

@@ -21,7 +21,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -35,7 +35,7 @@ from ..metrics.performance import (
 from ..overlay.resources import overlay_fmax_mhz
 from ..sim.overlay import simulate_schedule_with
 from ..specs import OverlaySpec, SimSpec, SweepSpec
-from .cache import ScheduleCache, default_cache
+from .cache import ScheduleCache
 from .store import ResultStore
 
 #: Default per-point retry budget of the fault-tolerant runner: retries
@@ -161,118 +161,93 @@ def build_grid(
 
 
 def run_point(point: SweepPoint, cache: Optional[ScheduleCache] = None) -> SweepResult:
-    """Compile (through the cache) and simulate one sweep point.
+    """Compile (through a session over the cache) and simulate one point.
 
     ``cache`` defaults to the process-wide compiled-schedule cache; the
     session API (:meth:`repro.api.Toolchain.sweep`) passes its injected
     cache for serial execution.
     """
-    from ..errors import InfeasibleScheduleError
-    from ..schedule import analytic_ii  # local import keeps worker start cheap
+    from ..api import Toolchain  # local imports keep worker start cheap
+    from ..schedule import analytic_ii
     from .faults import inject_faults
 
     started = time.perf_counter()
     inject_faults(point)  # no-op unless a fault plan is installed (tests)
-    sim = point.sim
-    dfg = get_kernel(point.kernel)
-    overlay = point.overlay.build_overlay(dfg)
-    # Everything that identifies the point, shared by both outcomes below.
-    identity = dict(
-        kernel=point.kernel,
-        variant=overlay.variant.name,
-        overlay_name=overlay.name,
-        overlay_depth=overlay.depth,
-        num_blocks=sim.num_blocks,
-        engine=sim.engine,
-        scheduler=point.overlay.scheduler,
-        fmax_mhz=float(overlay_fmax_mhz(overlay.variant, overlay.depth)),
-    )
     try:
-        compiled = (cache if cache is not None else default_cache()).get_or_compile(
-            dfg, overlay, scheduler=point.overlay.scheduler
-        )
-        error = compiled.codegen_error
-    except (InfeasibleScheduleError, ConfigurationError) as infeasible:
-        error = infeasible
+        handle = Toolchain(cache)._handle(point.kernel, point.overlay)
+        error, overlay = handle.entry.error, handle.overlay
+    except ConfigurationError as unregistered:
+        # A user-registered strategy that a spawn-started worker process
+        # never saw registered (register strategies at import time of a
+        # module the workers import to avoid it).
+        error, overlay = unregistered, None
+    row = _row(point, overlay)
     if error is not None:
         # An infeasible strategy/overlay pairing, or a schedule that
         # overflows the FU's register file or instruction memory, is a
         # property of the grid point, not a sweep failure: report it so
         # mixed-strategy grids (e.g. --schedulers all) keep running and the
-        # result store keeps the row.  ConfigurationError covers a
-        # user-registered strategy that a spawn-started worker process
-        # never saw registered (register strategies at import time of a
-        # module the workers import to avoid it).
-        return SweepResult(
-            analytic_ii=0.0,
-            measured_ii=None,
-            latency_cycles=0,
-            total_cycles=0,
-            throughput_gops=0.0,
-            matches_reference=None,
-            elapsed_s=time.perf_counter() - started,
-            error=str(error),
-            **identity,
-        )
-    schedule = compiled.schedule
-    result = simulate_schedule_with(schedule, sim)
+        # result store keeps the row.
+        return replace(row, error=str(error), elapsed_s=time.perf_counter() - started)
+    schedule = handle.schedule
+    result = simulate_schedule_with(schedule, point.sim)
     analytic = float(analytic_ii(schedule))
     # A run too short to complete two blocks has no measurable II; report it
     # as unmeasured and fall back to the analytic model for throughput.
     measured = None if result.measured_ii is None else float(result.measured_ii)
     throughput_ii = analytic if measured is None else measured
-    return SweepResult(
+    return replace(
+        row,
         analytic_ii=analytic,
         measured_ii=measured,
         latency_cycles=int(result.latency_cycles),
         total_cycles=int(result.total_cycles),
         throughput_gops=throughput_gops(
-            schedule.dfg.num_operations, throughput_ii, identity["fmax_mhz"]
+            schedule.dfg.num_operations, throughput_ii, row.fmax_mhz
         ),
         matches_reference=result.matches_reference,
         elapsed_s=time.perf_counter() - started,
-        **identity,
     )
 
 
-def _error_result(point: SweepPoint, message: str, attempts: int) -> SweepResult:
-    """A quarantined row for a point the runner gave up on.
+def _row(point: SweepPoint, overlay=None, **fields) -> SweepResult:
+    """An unmeasured row naming ``point``; ``fields`` override the rest.
 
-    Identity fields are derived from the overlay when it still builds (the
-    usual case — the fault was environmental); a point whose overlay cannot
-    even be constructed falls back to the spec's own fields so the row is
-    still attributable.
+    ``overlay`` is the point's built overlay.  Without one it is built here,
+    and a point whose overlay cannot even be constructed falls back to the
+    spec's own fields so the row is still attributable.
     """
     try:
-        overlay = point.overlay.build_overlay(get_kernel(point.kernel))
-        variant = overlay.variant.name
-        overlay_name = overlay.name
-        overlay_depth = overlay.depth
-        fmax = float(overlay_fmax_mhz(overlay.variant, overlay.depth))
+        if overlay is None:
+            overlay = point.overlay.build_overlay(get_kernel(point.kernel))
+        identity = dict(
+            variant=overlay.variant.name,
+            overlay_name=overlay.name,
+            overlay_depth=overlay.depth,
+            fmax_mhz=float(overlay_fmax_mhz(overlay.variant, overlay.depth)),
+        )
     except Exception:  # identity is best-effort for a row that is all error
-        variant = point.overlay.variant
-        overlay_name = f"{point.overlay.variant}?"
-        overlay_depth = point.overlay.depth or 0
-        fmax = 0.0
-    return SweepResult(
-        kernel=point.kernel,
-        variant=variant,
-        overlay_name=overlay_name,
-        overlay_depth=overlay_depth,
-        num_blocks=point.sim.num_blocks,
-        engine=point.sim.engine,
-        scheduler=point.overlay.scheduler,
+        identity = dict(
+            variant=point.overlay.variant,
+            overlay_name=f"{point.overlay.variant}?",
+            overlay_depth=point.overlay.depth or 0,
+            fmax_mhz=0.0,
+        )
+    unmeasured = dict(
         analytic_ii=0.0,
         measured_ii=None,
         latency_cycles=0,
         total_cycles=0,
-        fmax_mhz=fmax,
         throughput_gops=0.0,
         matches_reference=None,
         elapsed_s=0.0,
-        error=message,
-        attempts=attempts,
-        quarantined=True,
+    )
+    return SweepResult(
+        kernel=point.kernel,
+        num_blocks=point.sim.num_blocks,
+        engine=point.sim.engine,
+        scheduler=point.overlay.scheduler,
+        **{**identity, **unmeasured, **fields},
     )
 
 
@@ -621,7 +596,10 @@ def run_sweep(
         settle(index, result, cached=False)
 
     def quarantine(index: int, message: str, attempts: int) -> None:
-        settle(index, _error_result(points[index], message, attempts), cached=False)
+        # The runner gave up on the point: an environmental fault, so the
+        # store never keeps the row.
+        row = _row(points[index], error=message, attempts=attempts, quarantined=True)
+        settle(index, row, cached=False)
 
     if jobs is None:
         jobs = os.cpu_count() or 1

@@ -56,6 +56,12 @@ OPS = (
     "stats",
 )
 
+#: Largest request frame in bytes, not counting its newline: asyncio's
+#: default ``StreamReader`` limit (64 KiB).  A longer frame gets one
+#: ``E_PROTOCOL`` reply naming this limit, and the server closes that
+#: connection.
+MAX_FRAME_BYTES = 64 * 1024
+
 #: Stable error codes, the client-facing failure vocabulary.
 E_PROTOCOL = "E_PROTOCOL"  #: malformed request envelope
 E_VERSION = "E_VERSION"  #: unsupported protocol version

@@ -49,6 +49,8 @@ from ..schedule.ii import analytic_ii
 from ..specs import OverlaySpec, SimSpec, spec_from_wire
 from .protocol import (
     E_PARAMS,
+    E_PROTOCOL,
+    MAX_FRAME_BYTES,
     OPS,
     PROTOCOL_VERSION,
     ServiceError,
@@ -370,7 +372,16 @@ class OverlayService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The frame overran the reader's limit; the rest of the
+                    # stream cannot be framed reliably, so answer and close.
+                    self.stats.record("_protocol", 0.0, False)
+                    message = f"request frame exceeds {MAX_FRAME_BYTES} bytes"
+                    writer.write(encode_line(error_response(None, E_PROTOCOL, message)))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -400,7 +411,9 @@ class OverlayService:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.AbstractServer:
         """Start the asyncio stream server (caller owns the loop)."""
-        return await asyncio.start_server(self._serve_connection, host, port)
+        return await asyncio.start_server(
+            self._serve_connection, host, port, limit=MAX_FRAME_BYTES
+        )
 
     def serve_forever(self, host: str = "127.0.0.1", port: int = 7411) -> None:
         """Blocking entry point (the ``repro-overlay serve`` CLI)."""

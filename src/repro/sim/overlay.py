@@ -294,7 +294,9 @@ def merge_lane_results(
         )
         for k in range(len(primary.fu_stats))
     ]
-    merged_sorted = sorted(completion)
+    # Lanes finish blocks side by side, so merged completions are only spaced
+    # by an initiation interval once some lane has completed two blocks.
+    measured = any(result.num_blocks >= 2 for result in active)
     return SimulationResult(
         kernel_name=schedule.kernel_name,
         overlay_name=schedule.overlay.name,
@@ -302,7 +304,7 @@ def merge_lane_results(
         outputs=outputs,
         completion_cycles=completion,
         total_cycles=max(r.total_cycles for r in active),
-        measured_ii=_steady_state_ii(merged_sorted),
+        measured_ii=_steady_state_ii(sorted(completion)) if measured else None,
         latency_cycles=completion[0] + 1,
         fu_stats=fu_stats,
         fifo_high_water=[

@@ -55,12 +55,16 @@ def enumerate_candidates(spec: TuneSpec, dfg=None) -> List[OverlaySpec]:
     filled in against the kernel and the strategy canonicalised the way the
     compile cache keys it — so ``auto`` and the concrete strategy it
     dispatches to, or ``depth=None`` and the explicit depth it resolves to,
-    never appear twice.  Axis combinations the spec layer itself rejects
-    (e.g. an explicit depth the variant cannot implement) are skipped, not
-    errors; candidates that fail at *scheduling* time survive enumeration
-    and come back from :func:`tune` as infeasible rows.
+    never appear twice: the identity is the compile cache's own
+    :class:`~repro.engine.cache.CacheKey`.  Axis combinations the spec
+    layer itself rejects (e.g. an explicit depth the variant cannot
+    implement) are skipped, not errors; candidates that fail at
+    *scheduling* time survive enumeration and come back from :func:`tune`
+    as infeasible rows.
     """
-    from .schedule.registry import resolve_strategy_name, scheduler_names
+    from .dfg.serialize import dfg_fingerprint
+    from .engine.cache import CacheKey
+    from .schedule.registry import scheduler_names
 
     if spec.schedulers is not None:
         schedulers: Tuple[str, ...] = spec.schedulers
@@ -68,6 +72,7 @@ def enumerate_candidates(spec: TuneSpec, dfg=None) -> List[OverlaySpec]:
         schedulers = tuple(n for n in scheduler_names() if n != "auto")
     if dfg is None:
         dfg = get_kernel(spec.kernel)
+    fingerprint = dfg_fingerprint(dfg)
     candidates: List[OverlaySpec] = []
     seen = set()
     for variant in spec.variants:
@@ -81,17 +86,11 @@ def enumerate_candidates(spec: TuneSpec, dfg=None) -> List[OverlaySpec]:
                             fifo_depth=fifo_depth,
                             scheduler=scheduler,
                         )
-                        overlay = candidate.build_overlay(dfg)
-                        strategy = resolve_strategy_name(scheduler, overlay)
+                        identity = CacheKey.for_mapping(
+                            dfg, candidate.build_overlay(dfg), scheduler, fingerprint
+                        )
                     except ConfigurationError:
                         continue
-                    identity = (
-                        overlay.variant.name,
-                        overlay.depth,
-                        overlay.fixed_depth,
-                        overlay.fifo_depth,
-                        strategy,
-                    )
                     if identity in seen:
                         continue
                     seen.add(identity)

@@ -3,7 +3,8 @@
 An artifact travels with claims about itself: the resolved
 :class:`~repro.specs.OverlaySpec` it was compiled for, the compile-cache
 :class:`~repro.engine.cache.CacheKey` it is filed under, and the certified
-``warmup_bound_cycles`` the steady-state detector trusts.  This pass checks
+``warmup_bound_cycles`` reported on handles and service rows (the fast
+engine derives its own bound per run and never reads it).  This pass checks
 those claims against the artifact itself, so a handle pulled from a cache
 (or deserialised by a future overlay service) can be proven to be what it
 says it is.  Sub-checks whose subject is absent (no spec, no key, a

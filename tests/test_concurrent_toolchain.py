@@ -12,6 +12,8 @@ so this file pins the guarantees that make that safe:
   exception to every waiter without poisoning the key;
 * **isolation** — concurrently driven isolated sessions still share
   nothing (the ``tests/test_api_toolchain.py`` semantics, under threads);
+* **derived results** — racing ``evaluate``/``verify`` calls on one key
+  all get the same analytic result and verdict, kept on the one entry;
 * **disk-layer discipline** — concurrent writers sharing one ``disk_dir``
   (the temp+rename pattern of ``engine/store.py``) never let a reader see
   a truncated artifact;
@@ -195,6 +197,40 @@ class TestCoalescingAtTheCacheLayer:
         monkeypatch.setattr(ScheduleCache, "_compile_miss", original)
         handle = Toolchain(cache=cache).compile(dfg, spec)
         assert handle.configuration is not None
+
+
+class TestDerivedResultsOnTheEntry:
+    def test_racing_evaluates_and_verifies_agree(self):
+        import sys
+
+        K = 8
+        cache = ScheduleCache(capacity=8)
+        barrier = threading.Barrier(K)
+        results = [None] * K
+
+        def worker(index):
+            toolchain = Toolchain(cache=cache)
+            barrier.wait()
+            handle = toolchain.compile("gradient", OverlaySpec(variant="v3"))
+            verdict = toolchain.verify(handle).to_dict()
+            results[index] = (toolchain.evaluate(handle), verdict, handle.entry)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(K)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        performance, verdict, entry = results[0]
+        assert all(result[2] is entry for result in results)
+        assert all(result[:2] == (performance, verdict) for result in results)
+        assert entry.analytic == performance
+        assert entry.verdict.to_dict() == verdict
 
 
 class TestDiskLayerRaces:

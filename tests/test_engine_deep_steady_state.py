@@ -14,8 +14,9 @@ down the occupancy detector's guarantees there:
 * the removed ``detector`` knob is rejected everywhere it used to travel:
   spec dicts, ``simulate_schedule``, sweep rows, the CLI and the wire;
 * the satellite fixes: a codegen overflow is one schedule-only cache entry
-  (scheduled once, raised fresh, coalesced, persisted), and runs too short to measure an II report ``None`` instead of crashing
-  the sweep.
+  and an infeasible schedule one infeasible entry (scheduled once, raised
+  fresh, coalesced, persisted), and runs too short to measure an II report
+  ``None`` instead of crashing the sweep.
 """
 
 import json
@@ -261,7 +262,7 @@ class TestScheduleOnlyMemoisation:
         second = cache.get_or_compile(_fat_kernel(), overlay)
         # One schedule-only entry: the second call is a plain hit on it.
         assert first is second
-        assert isinstance(first.codegen_error, CodegenError)
+        assert isinstance(first.error, CodegenError)
         assert first.program is None and first.configuration is None
         assert first.warmup_bound_cycles == steady_state_warmup_bound(first.schedule) > 0
         assert cache.stats.misses == 1 and cache.stats.hits == 1
@@ -276,7 +277,7 @@ class TestScheduleOnlyMemoisation:
     def test_full_compile_still_preferred_when_it_succeeds(self):
         cache = ScheduleCache()
         compiled = cache.get_or_compile(get_kernel("qspline"), LinearOverlay.fixed(V3, 8))
-        assert compiled.codegen_error is None
+        assert compiled.error is None
         assert compiled.program is not None and compiled.configuration is not None
 
 
@@ -330,7 +331,7 @@ class TestOneEntryPerKey:
         counter = _PipelineCounter(monkeypatch)
         tc = self._session()
         handle = tc.compile(_fat_kernel(), self.SPEC, allow_schedule_only=True)
-        stored = tc.cache.peek(handle.key).codegen_error
+        stored = tc.cache.peek(handle.key).error
         raised = []
         for _ in range(2):
             with pytest.raises(CodegenError) as info:
@@ -386,7 +387,8 @@ class TestOneEntryPerKey:
         assert (counter.schedules, counter.codegens) == (0, 0)
         assert reader.cache.stats.disk_hits == 1 and reader.cache.stats.misses == 0
 
-    def test_old_pickle_without_codegen_error_loads_as_a_full_entry(self, tmp_path):
+    def test_pickle_from_an_older_layout_is_a_miss(self, monkeypatch, tmp_path):
+        import hashlib
         import pickle
 
         from repro.engine.cache import CacheKey
@@ -394,16 +396,140 @@ class TestOneEntryPerKey:
         dfg = get_kernel("qspline")
         overlay = LinearOverlay.fixed(V3, 8)
         entry = ScheduleCache().get_or_compile(dfg, overlay)
-        # What a pickle written before the field existed carries.
-        del entry.__dict__["codegen_error"]
         key = CacheKey.for_mapping(dfg, overlay)
-        with open(tmp_path / key.filename(), "wb") as handle:
+        # The filename pickles had before it carried a layout version.
+        digest = hashlib.sha256(
+            f"{key.kernel_name}|{key.dfg_hash}|{key.variant_name}|{key.depth}|"
+            f"{key.fixed_depth}|{key.fifo_depth}|{key.scheduler}".encode("utf-8")
+        ).hexdigest()[:32]
+        with open(tmp_path / f"{key.kernel_name}-{key.variant_name}-{digest}.pkl", "wb") as handle:
             pickle.dump(entry, handle)
+        counter = _PipelineCounter(monkeypatch)
         reader = self._session(disk_dir=str(tmp_path))
         handle = reader.compile(dfg, OverlaySpec("v3", depth=8))
-        assert reader.cache.stats.disk_hits == 1
         assert not handle.schedule_only
-        assert reader.cache.get_or_compile(dfg, overlay).codegen_error is None
+        assert reader.cache.stats.disk_hits == 0 and reader.cache.stats.misses == 1
+        assert counter.schedules == 1
+
+
+class TestInfeasibleEntries:
+    """An infeasible schedule is one cache entry too: scheduled once per key."""
+
+    SPEC = OverlaySpec("v1", depth=8, scheduler="linear")  # poly7 needs 13 stages
+
+    def _session(self, **kwargs):
+        from repro.api import Toolchain
+
+        return Toolchain(cache=ScheduleCache(**kwargs))
+
+    def _key(self):
+        from repro.engine.cache import CacheKey
+
+        dfg = get_kernel("poly7")
+        return CacheKey.for_mapping(dfg, self.SPEC.build_overlay(dfg), self.SPEC.scheduler)
+
+    def _raised(self, tc):
+        from repro.errors import InfeasibleScheduleError
+
+        with pytest.raises(InfeasibleScheduleError) as info:
+            tc.compile("poly7", self.SPEC, allow_schedule_only=True)
+        return info.value
+
+    def test_repeat_compile_raises_a_fresh_error_without_rescheduling(self, monkeypatch):
+        counter = _PipelineCounter(monkeypatch)
+        tc = self._session()
+        first = self._raised(tc)
+        assert counter.schedules == 1
+        entry = tc.cache.peek(self._key())
+        assert entry.schedule is None and entry.program is None
+        assert entry.error.__traceback__ is None
+        again = [self._raised(tc) for _ in range(2)]
+        assert counter.schedules == 1
+        for error in again:
+            assert type(error) is type(first) and str(error) == str(first)
+            assert error is not entry.error and error is not first
+        assert again[0] is not again[1]
+        assert tc.cache.get_batch_plan(self._key()) is None
+
+    def test_cache_stats_count_the_key_lookups(self):
+        tc = self._session()
+        for _ in range(3):
+            self._raised(tc)
+        stats = tc.cache_stats()
+        assert (stats["lookups"], stats["misses"], stats["hits"]) == (3, 1, 2)
+        assert stats["entries"] == 1
+
+    def test_concurrent_compiles_run_the_scheduler_once(self, monkeypatch):
+        import threading
+
+        K = 6
+        counter = _PipelineCounter(monkeypatch, delay_s=0.2)
+        tc = self._session()
+        barrier = threading.Barrier(K)
+        errors = [None] * K
+
+        def worker(index):
+            barrier.wait()
+            errors[index] = self._raised(tc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(K)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counter.schedules == 1
+        assert len({str(error) for error in errors}) == 1
+        assert len({id(error) for error in errors}) == K  # no shared object
+        stats = tc.cache.stats
+        assert stats.misses == 1 and stats.hits + stats.coalesced == K - 1
+
+    def test_infeasible_entry_survives_a_disk_round_trip(self, monkeypatch, tmp_path):
+        original = self._raised(self._session(disk_dir=str(tmp_path)))
+        counter = _PipelineCounter(monkeypatch)
+        reader = self._session(disk_dir=str(tmp_path))
+        reloaded = self._raised(reader)
+        assert type(reloaded) is type(original) and str(reloaded) == str(original)
+        assert counter.schedules == 0
+        assert reader.cache.stats.disk_hits == 1 and reader.cache.stats.misses == 0
+
+    def test_other_scheduler_errors_are_not_stored(self):
+        from repro.schedule.registry import register_scheduler, unregister_scheduler
+
+        calls = []
+
+        def broken(dfg, overlay):
+            calls.append(dfg.name)
+            raise ConfigurationError("broken strategy")
+
+        register_scheduler("test-broken", broken)
+        try:
+            tc = self._session()
+            for _ in range(2):
+                with pytest.raises(ConfigurationError, match="broken strategy"):
+                    tc.compile("poly7", OverlaySpec("v1", scheduler="test-broken"))
+            assert len(calls) == 2 and len(tc.cache) == 0
+        finally:
+            unregister_scheduler("test-broken")
+
+    def test_warm_tune_runs_no_scheduler(self, monkeypatch):
+        tc = self._session()
+        first = tc.tune("poly7", budget=2)
+        assert any(candidate.error for candidate in first.candidates)
+        counter = _PipelineCounter(monkeypatch)
+        again = tc.tune("poly7", budget=2)
+        assert counter.schedules == 0
+        assert [c.error for c in again.candidates] == [c.error for c in first.candidates]
+
+    def test_sweep_reports_the_entry_error_as_a_row(self, monkeypatch):
+        tc = self._session()
+        message = str(self._raised(tc))
+        counter = _PipelineCounter(monkeypatch)
+        point = SweepPoint("poly7", self.SPEC, SimSpec(engine="fast", num_blocks=4))
+        row = run_point(point, cache=tc.cache)
+        assert counter.schedules == 0
+        assert row.error == message and row.attempts == 1 and not row.quarantined
+        assert (row.variant, row.overlay_depth) == ("v1", 8)
 
 
 class TestUnmeasurableII:
@@ -427,6 +553,15 @@ class TestUnmeasurableII:
         )
         table = render_sweep_table([result])
         assert " - " in table or " -\n" in table or "- " in table
+
+    def test_one_block_per_lane_has_no_measured_ii(self):
+        # Two blocks on V2's two lanes complete side by side: no spacing to
+        # measure (this used to be II 0.0, which crashed the sweep row).
+        for engine in ("cycle", "fast"):
+            point = SweepPoint("gradient", OverlaySpec("v2"), SimSpec(engine=engine, num_blocks=2))
+            result = run_point(point)
+            assert result.error is None and result.measured_ii is None
+            assert result.throughput_gops > 0
 
     def test_two_blocks_measure_again(self):
         point = SweepPoint("qspline", OverlaySpec("v3", depth=8), SimSpec(engine="fast", num_blocks=2))

@@ -84,3 +84,47 @@ def test_cache_stats_keep_the_counters_the_hit_ratio_needs():
         value = stats[name]
         assert isinstance(value, int) and not isinstance(value, bool), name
     assert stats["lookups"] == 2 and stats["misses"] == 1
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cold_compile_hashes_through_the_api_global(monkeypatch):
+    # The dfg.fingerprint span wraps repro.api.dfg_fingerprint.
+    import repro.api as api
+
+    calls = _counting(monkeypatch, api, "dfg_fingerprint")
+    api.Toolchain(cache=ScheduleCache()).compile("gradient", OverlaySpec("v1"))
+    assert len(calls) >= 1
+
+
+def test_cold_evaluate_runs_the_api_analytic_global_once_per_entry(monkeypatch):
+    # The metrics.analytic span wraps repro.api.analytic_performance.
+    import repro.api as api
+
+    calls = _counting(monkeypatch, api, "analytic_performance")
+    toolchain = api.Toolchain(cache=ScheduleCache())
+    first = toolchain.compile("gradient", OverlaySpec("v1"))
+    second = toolchain.compile("gradient", OverlaySpec("v3"))
+    for handle in (first, second, first, second):
+        toolchain.evaluate(handle)
+    assert len(calls) == 2
+
+
+def test_run_point_simulates_through_the_sweep_global(monkeypatch):
+    # sim-long captures every point's result through this global.
+    from repro.engine import sweep
+
+    calls = _counting(monkeypatch, sweep, "simulate_schedule_with")
+    point = sweep.SweepPoint("gradient", OverlaySpec("v1"), SimSpec(num_blocks=4))
+    sweep.run_point(point, cache=ScheduleCache())
+    assert len(calls) == 1

@@ -13,6 +13,10 @@ tool flow must uphold for *any* legal kernel:
   ``SimulationResult`` equals the cycle engine's on V1-V5 at every FIFO
   depth, and the ``batched`` spelling equals ``fast`` (a fast subset runs in
   tier-1, the full grid under ``--runslow``);
+* every registered scheduler keeps the compile contract on generated
+  kernels: an infeasible key raises the same error again from its cache
+  entry without rescheduling, full artifacts verify clean, and the analytic
+  II never exceeds the fast engine's measured II;
 * the auto-tuner is a pure function of its spec and its result store — the
   same :class:`~repro.specs.TuneSpec` against the same store reproduces the
   identical :class:`~repro.specs.TuneResult`, and a resumed tune never
@@ -26,12 +30,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Toolchain
 from repro.dfg.analysis import asap_stage_assignment, dfg_depth, stage_traffic
 from repro.dfg.transforms import optimize
 from repro.dfg.validate import collect_validation_errors
 from repro.engine.batchsim import BatchSimulator
+from repro.engine.cache import ScheduleCache
 from repro.engine.fastsim import FastSimulator
-from repro.errors import SimulationError
+from repro.errors import InfeasibleScheduleError, SimulationError
 from repro.kernels.generators import random_dfg
 from repro.kernels.reference import evaluate_dfg, random_input_blocks
 from repro.overlay.architecture import LinearOverlay
@@ -40,8 +46,10 @@ from repro.overlay.isa import decode_instruction, encode_instruction
 from repro.program.codegen import generate_program
 from repro.schedule import analytic_ii, schedule_kernel
 from repro.schedule.ordering import verify_ordering
+from repro.schedule.registry import scheduler_names
 from repro.schedule.types import SlotKind
 from repro.sim.overlay import OverlaySimulator, simulate_schedule
+from repro.specs import OverlaySpec, SimSpec
 
 #: Strategy for seeded random kernels that stay small enough to simulate fast.
 kernel_strategy = st.builds(
@@ -214,6 +222,64 @@ class TestEngineDifferentialOracle:
         self, dfg, variant_name, fifo_depth, depth, num_blocks
     ):
         _assert_engines_agree(dfg, variant_name, fifo_depth, depth, num_blocks)
+
+
+def _assert_compile_contract(dfg, scheduler, variant_name, fifo_depth, depth, num_blocks):
+    spec = OverlaySpec(variant_name, depth=depth, fifo_depth=fifo_depth, scheduler=scheduler)
+    tc = Toolchain(cache=ScheduleCache())
+    try:
+        handle = tc.compile(dfg, spec, allow_schedule_only=True)
+    except InfeasibleScheduleError as first:
+        with pytest.raises(InfeasibleScheduleError) as again:
+            tc.compile(dfg, spec, allow_schedule_only=True)
+        assert type(again.value) is type(first) and str(again.value) == str(first)
+        # The repeat was a hit on the infeasible entry: no scheduler ran.
+        assert (tc.cache.stats.misses, tc.cache.stats.hits) == (1, 1)
+        return
+    if not handle.schedule_only:
+        report = tc.verify(handle)
+        assert report.ok, report.summary()
+    sim = SimSpec(engine="fast", num_blocks=num_blocks)
+    measured = tc.simulate(handle, sim).measured_ii
+    if measured is not None:
+        assert tc.evaluate(handle).ii <= measured
+
+
+class TestSchedulerCompileOracle:
+    """Every registered scheduler x V1-V5 x fifo depth on generated kernels."""
+
+    @given(
+        scheduler=st.sampled_from(scheduler_names()),
+        depth=st.one_of(st.none(), st.integers(min_value=3, max_value=8)),
+        dfg=kernel_strategy,
+        variant_name=_ORACLE_STRATEGY["variant_name"],
+        fifo_depth=_ORACLE_STRATEGY["fifo_depth"],
+        num_blocks=_STREAM_LENGTHS,
+    )
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_compile_contract_on_generated_kernels(
+        self, dfg, scheduler, variant_name, fifo_depth, depth, num_blocks
+    ):
+        _assert_compile_contract(dfg, scheduler, variant_name, fifo_depth, depth, num_blocks)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(12))
+    def test_compile_contract_on_the_full_grid(self, seed):
+        import itertools
+        import random
+
+        rng = random.Random(seed)
+        dfg = random_dfg(1 + seed % 5, 3 + (seed * 7) % 26, seed=rng.randrange(10_000))
+        lengths = itertools.cycle([1, 2, 3, 5, 8, 13, 24])
+        grid = itertools.product(
+            scheduler_names(), ("v1", "v2", "v3", "v4", "v5"), (2, 4, 8, 32)
+        )
+        for scheduler, variant_name, fifo_depth in grid:
+            # Odd seeds size V1/V2 to the kernel's critical path.
+            depth = None if seed % 2 and variant_name in ("v1", "v2") else 3 + seed % 6
+            _assert_compile_contract(
+                dfg, scheduler, variant_name, fifo_depth, depth, next(lengths)
+            )
 
 
 class TestTunerInvariants:

@@ -57,6 +57,7 @@ from repro.service.protocol import (
     E_PARAMS,
     E_PROTOCOL,
     E_VERSION,
+    MAX_FRAME_BYTES,
     OPS,
     decode_line,
     decode_request,
@@ -516,6 +517,34 @@ class TestSocketTransport:
                 assert response["error"]["code"] == E_PROTOCOL
                 # ... and the connection still works afterwards.
                 assert client.ping()["pong"] is True
+
+    def test_tcp_oversized_frame_gets_a_protocol_error_and_a_close(self, service, caplog):
+        def ping_frame(size):
+            # A ping padded to exactly ``size`` bytes before its newline.
+            empty = encode_line({"op": "ping", "version": PROTOCOL_VERSION, "params": {"pad": ""}})
+            pad = "x" * (size - len(empty) + 1)
+            frame = encode_line({"op": "ping", "version": PROTOCOL_VERSION, "params": {"pad": pad}})
+            assert len(frame) == size + 1
+            return frame
+
+        with BackgroundServer(service) as server:
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                with ServiceClient("127.0.0.1", server.port) as client:
+                    client._connect()
+                    client._sock.sendall(ping_frame(MAX_FRAME_BYTES))  # at the limit
+                    assert json.loads(client._file.readline())["ok"] is True
+                    client._sock.sendall(ping_frame(MAX_FRAME_BYTES + 4096))
+                    response = json.loads(client._file.readline())
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == E_PROTOCOL
+                    assert str(MAX_FRAME_BYTES) in response["error"]["message"]
+                    assert client._file.readline() == b""  # connection closed
+                with ServiceClient("127.0.0.1", server.port) as other:
+                    assert other.ping()["pong"] is True  # the server lives on
+        assert service.stats.as_dict()["_protocol"]["errors"] == 1
+        # No "Unhandled exception in client_connected_cb" report.
+        reports = [r for r in caplog.records if r.name == "asyncio"]
+        assert [r for r in reports if r.levelno >= logging.WARNING] == []
 
     def test_stop_with_live_client_logs_nothing(self, service, caplog):
         """Stopping the server under open connections ends their handlers

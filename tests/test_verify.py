@@ -223,19 +223,22 @@ class TestToolchainWiring:
         assert first.ok
         assert toolchain.verify(handle) is first  # verdict cache hit
         assert toolchain.verify(handle, use_cache=False) is not first
-        toolchain.cache.clear()
-        assert toolchain.cache.get_verdict(handle.key) is None
+        assert handle.entry.verdict is first  # the verdict lives on the entry
+        toolchain.cache.clear()  # ... and dies with it
+        recompiled = toolchain.compile("gradient", OverlaySpec("v3"))
+        assert recompiled.entry is not handle.entry
+        assert recompiled.entry.verdict is None
 
     def test_pass_subset_verdicts_are_not_cached(self):
         toolchain = Toolchain(ScheduleCache())
         handle = toolchain.compile("gradient", OverlaySpec("v1"))
         toolchain.verify(handle, passes=["dfg"])
-        assert toolchain.cache.get_verdict(handle.key) is None
+        assert handle.entry.verdict is None
 
     def test_compile_check_accepts_clean_artifacts(self):
         toolchain = Toolchain(ScheduleCache())
         handle = toolchain.compile("gradient", OverlaySpec("v3"), check=True)
-        assert toolchain.cache.get_verdict(handle.key) is not None
+        assert toolchain.cache.peek(handle.key).verdict is not None
 
     def test_source_compile_check_accepts_clean_artifacts(self):
         toolchain = Toolchain(ScheduleCache())
@@ -251,7 +254,7 @@ class TestToolchainWiring:
         toolchain = Toolchain(ScheduleCache())
         handle = toolchain.compile("gradient", OverlaySpec("v1"))
         assert is_builtin_scheduler(handle.key.scheduler)
-        assert toolchain.cache.get_verdict(handle.key) is None
+        assert handle.entry.verdict is None
 
     def test_third_party_scheduler_verified_on_first_compile(self):
         register_scheduler(
@@ -265,8 +268,9 @@ class TestToolchainWiring:
             assert not is_builtin_scheduler(handle.key.scheduler)
             # The clean strategy compiles; its verdict is already cached, so
             # the warm compile does not re-run the passes.
-            assert toolchain.cache.get_verdict(handle.key) is not None
-            toolchain.compile("gradient", spec)
+            verdict = toolchain.cache.peek(handle.key).verdict
+            assert verdict is not None
+            assert toolchain.compile("gradient", spec).entry.verdict is verdict
         finally:
             unregister_scheduler("test-verify-good")
 
